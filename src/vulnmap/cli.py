@@ -42,7 +42,6 @@ class RunConfig:
     reports: tuple[str, ...] = ALL_REPORTS
     top_k: int | None = None
     format: str = "csv"
-    workers: int = 1
     go_last_segment: bool = False
 
 
@@ -79,6 +78,19 @@ def _load_lookup(config: RunConfig) -> LookupConfig:
     if config.lookup is not None:
         return load_lookup_config(config.lookup)
     return default_lookup_config()
+
+
+def _load_cve_fields(path: Path) -> dict[str, str]:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("the document must be a JSON object")
+    for key, value in doc.items():
+        if key not in ing.DEFAULT_CVE_FIELDS:
+            raise ValueError(f"unknown field {key!r} (known: {', '.join(ing.DEFAULT_CVE_FIELDS)})")
+        if not isinstance(value, str):
+            raise ValueError(f"field {key!r} must name a string key, got {value!r}")
+    return doc
 
 
 def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
@@ -118,10 +130,10 @@ def cmd_ingest(config: RunConfig) -> int:
         lookup_config = _load_lookup(config)
     except (OSError, ValueError) as exc:
         return _fail(f"invalid lookup config: {exc}")
-    field_map = None
-    if config.cve_fields is not None:
-        with open(config.cve_fields, encoding="utf-8") as fh:
-            field_map = json.load(fh)
+    try:
+        field_map = None if config.cve_fields is None else _load_cve_fields(config.cve_fields)
+    except (OSError, ValueError) as exc:
+        return _fail(f"invalid --cve-fields file: {exc}")
 
     workspace = store.Workspace(config.workspace).ensure()
     try:
@@ -210,7 +222,6 @@ def cmd_map(config: RunConfig) -> int:
                 cves,
                 lookup_config.lookup,
                 cutoff=config.cutoff,
-                workers=config.workers,
                 malformed_cpes=summary.get("malformed_cpes", 0),
                 strategies=config.strategies,
                 go_last_segment=config.go_last_segment,
@@ -321,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lookup", help="platform lookup configuration file (JSON)")
         p.add_argument("--cutoff", type=_cutoff_arg, default=0.3,
                        help="fuzzy similarity cutoff (default 0.3)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="internal parallelism (default: available cores)")
 
     p_ingest = sub.add_parser("ingest", help="parse source dumps into the workspace store")
     add_common(p_ingest)
@@ -361,7 +370,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         workspace=Path(args.workspace),
         lookup=_as_path(args.lookup),
         cutoff=args.cutoff,
-        workers=max(1, args.workers),
     )
     if args.command == "ingest":
         config.packages = _as_path(args.packages)

@@ -107,7 +107,6 @@ class IndexSet:
 
     by_name: dict[tuple[str, str], list[str]] = field(default_factory=dict)
     by_repo_link: dict[str, list[str]] = field(default_factory=dict)
-    by_product: dict[str, list[str]] = field(default_factory=dict)
 
 
 def parse_date(text) -> date | None:
@@ -464,14 +463,11 @@ def cve_products(cve: CveRecord) -> list[str]:
     return list(seen)
 
 
-def build_indexes(packages: list[PackageRecord], cves: list[CveRecord]) -> IndexSet:
+def build_indexes(packages: list[PackageRecord]) -> IndexSet:
     """Build the matcher lookup indexes; source order is preserved."""
     indexes = IndexSet()
     for pkg in packages:
         indexes.by_name.setdefault((pkg.platform, pkg.name), []).append(pkg.package_key)
         if pkg.repo is not None:
             indexes.by_repo_link.setdefault(pkg.repo.repo_link, []).append(pkg.package_key)
-    for cve in cves:
-        for product in cve_products(cve):
-            indexes.by_product.setdefault(product, []).append(cve.cve_id)
     return indexes

@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib.resources import files as resource_files
@@ -91,14 +90,25 @@ class LookupConfig:
     platform_aliases: dict[str, str] = field(default_factory=dict)
 
 
-def _to_lookup_config(doc: dict) -> LookupConfig:
+def _to_lookup_config(doc) -> LookupConfig:
+    """Build a LookupConfig from a parsed document; ValueError names a bad shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document must be a JSON object")
     platforms = doc.get("platforms") or {}
+    aliases = doc.get("platform_aliases") or {}
+    if not isinstance(platforms, dict) or not all(isinstance(e, dict) for e in platforms.values()):
+        raise ValueError('"platforms" must map each platform to an object')
+    if not isinstance(aliases, dict) or not all(isinstance(v, str) for v in aliases.values()):
+        raise ValueError('"platform_aliases" must map each label to a platform string')
 
     def table(key: str) -> dict[str, frozenset[str]]:
-        return {
-            platform: frozenset(str(t).lower() for t in entry.get(key, []))
-            for platform, entry in platforms.items()
-        }
+        out = {}
+        for platform, entry in platforms.items():
+            tokens = entry.get(key, [])
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise ValueError(f'"platforms.{platform}.{key}" must be a list of strings')
+            out[platform] = frozenset(t.lower() for t in tokens)
+        return out
 
     return LookupConfig(
         lookup=PlatformLookup(
@@ -106,7 +116,7 @@ def _to_lookup_config(doc: dict) -> LookupConfig:
             summary_keywords=table("keywords"),
             reference_hosts=table("hosts"),
         ),
-        platform_aliases=dict(doc.get("platform_aliases") or {}),
+        platform_aliases=dict(aliases),
     )
 
 
@@ -180,46 +190,34 @@ def _result_sort_key(result: MappingResult):
     return (result.cve_id, result.platform, result.package_key)
 
 
-# Each strategy maps one CVE independently of all others, so a run over a
-# CVE list is: shard, map per CVE, merge, sort. Worker count can never
-# change the output.
+# Each strategy maps one CVE independently of all others: map per CVE, then
+# sort, so CVE input order can never change the output.
 
 PerCve = Callable[[CveRecord], list[MappingResult] | None]
 
 
 def _run_per_cve(
-    per_cve: PerCve, cves: list[CveRecord], workers: int
-) -> tuple[list[MappingResult], dict[str, int]]:
-    def chunk_run(chunk: list[CveRecord]) -> tuple[list[MappingResult], int]:
-        results: list[MappingResult] = []
-        skipped = 0
-        for cve in chunk:
-            emitted = per_cve(cve)
-            if emitted is None:
-                skipped += 1
-            else:
-                results.extend(emitted)
-        return results, skipped
-
-    if workers <= 1 or len(cves) <= 1:
-        outcomes = [chunk_run(cves)]
-    else:
-        size = (len(cves) + workers - 1) // workers
-        chunks = [cves[i : i + size] for i in range(0, len(cves), size)]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            outcomes = list(pool.map(chunk_run, chunks))
-
-    results = [r for chunk_results, _ in outcomes for r in chunk_results]
-    skipped = sum(s for _, s in outcomes)
+    per_cve: PerCve, cves: list[CveRecord], tallies: dict | None
+) -> list[MappingResult]:
+    """Map every CVE (None from ``per_cve`` counts as skipped), sort, fill ``tallies``."""
+    results: list[MappingResult] = []
+    skipped = 0
+    for cve in cves:
+        emitted = per_cve(cve)
+        if emitted is None:
+            skipped += 1
+        else:
+            results.extend(emitted)
     results.sort(key=_result_sort_key)
-    mapped = len({r.cve_id for r in results})
-    tally = {
-        "total_cves": len(cves),
-        "skipped": skipped,
-        "mapped": mapped,
-        "unmatched": len(cves) - skipped - mapped,
-    }
-    return results, tally
+    if tallies is not None:
+        mapped = len({r.cve_id for r in results})
+        tallies.update(
+            total_cves=len(cves),
+            skipped=skipped,
+            mapped=mapped,
+            unmatched=len(cves) - skipped - mapped,
+        )
+    return results
 
 
 def _name_view(indexes: IndexSet) -> dict[str, list[tuple[str, str]]]:
@@ -234,16 +232,25 @@ def _cve_target_sw(cve: CveRecord) -> set[str]:
     return {c.target_sw for c in cve.cpes if c.target_sw not in ("*", "-") and c.target_sw}
 
 
-def _strict_name_map(
+def strict_name_map(
     packages: list[PackageRecord],
     cves: list[CveRecord],
     lookup: PlatformLookup,
     indexes: IndexSet | None = None,
     go_last_segment: bool = False,
-    workers: int = 1,
-):
+    tallies: dict | None = None,
+) -> list[MappingResult]:
+    """Exact-name matching gated by platform evidence.
+
+    A package maps to a CVE when its normalized name equals one of the
+    CVE's product values and the package's platform is corroborated either
+    by a target_sw alias or by a summary keyword. ``go_last_segment`` is an
+    extension that additionally compares the last path segment of Go module
+    names (off by default: full-path Go names intentionally fail to match
+    bare product names). ``tallies``, when given, receives the CVE counts.
+    """
     if indexes is None:
-        indexes = build_indexes(packages, cves)
+        indexes = build_indexes(packages)
     name_view = _name_view(indexes)
     last_segment_view: dict[str, list[tuple[str, str]]] | None = None
     if go_last_segment:
@@ -290,51 +297,35 @@ def _strict_name_map(
                 )
         return out
 
-    return _run_per_cve(per_cve, cves, workers)
+    return _run_per_cve(per_cve, cves, tallies)
 
 
-def strict_name_map(
-    packages: list[PackageRecord],
-    cves: list[CveRecord],
-    lookup: PlatformLookup,
-    indexes: IndexSet | None = None,
-    go_last_segment: bool = False,
-    workers: int = 1,
-) -> list[MappingResult]:
-    """Exact-name matching gated by platform evidence.
-
-    A package maps to a CVE when its normalized name equals one of the
-    CVE's product values and the package's platform is corroborated either
-    by a target_sw alias or by a summary keyword. ``go_last_segment`` is an
-    extension that additionally compares the last path segment of Go module
-    names (off by default: full-path Go names intentionally fail to match
-    bare product names).
-    """
-    results, _ = _strict_name_map(packages, cves, lookup, indexes, go_last_segment, workers)
-    return results
-
-
-def _partial_fuzzy_map(
+def partial_fuzzy_map(
     packages: list[PackageRecord],
     cves: list[CveRecord],
     lookup: PlatformLookup,
     cutoff: float = 0.3,
-    indexes: IndexSet | None = None,
-    workers: int = 1,
-):
+    tallies: dict | None = None,
+) -> list[MappingResult]:
+    """Platform inference plus substring candidates plus fuzzy selection.
+
+    For each CVE with exactly one inferred platform, packages on that
+    platform whose name or keywords contain a product value compete; the
+    candidate name most similar to the product wins if it clears the
+    cutoff, at most one result per (CVE, product). ``tallies``, when given,
+    receives the CVE counts including ``ambiguous_platform``.
+    """
     by_platform: dict[str, list[PackageRecord]] = {}
     for pkg in packages:
         by_platform.setdefault(pkg.platform, []).append(pkg)
-    ambiguous: list[str] = []  # list.append is atomic, safe under sharding
+    if tallies is not None:
+        tallies["ambiguous_platform"] = 0
 
     def per_cve(cve: CveRecord) -> list[MappingResult] | None:
         # The package manager is assigned first; product matching follows.
-        hits = _platform_hits(cve, lookup)
-        if len(hits) != 1:
-            if len(hits) > 1:
-                ambiguous.append(cve.cve_id)
+        platform = infer_platform(cve, lookup, tallies)
+        if platform is None:
             return None
-        platform = next(iter(hits))
         products = cve_products(cve)
         if not products:
             return None
@@ -369,41 +360,27 @@ def _partial_fuzzy_map(
             )
         return out
 
-    results, tally = _run_per_cve(per_cve, cves, workers)
-    tally["ambiguous_platform"] = len(ambiguous)
-    return results, tally
+    return _run_per_cve(per_cve, cves, tallies)
 
 
-def partial_fuzzy_map(
-    packages: list[PackageRecord],
-    cves: list[CveRecord],
-    lookup: PlatformLookup,
-    cutoff: float = 0.3,
-    indexes: IndexSet | None = None,
-    workers: int = 1,
-) -> list[MappingResult]:
-    """Platform inference plus substring candidates plus fuzzy selection.
-
-    For each CVE with exactly one inferred platform, packages on that
-    platform whose name or keywords contain a product value compete; the
-    candidate name most similar to the product wins if it clears the
-    cutoff, at most one result per (CVE, product).
-    """
-    results, _ = _partial_fuzzy_map(packages, cves, lookup, cutoff, indexes, workers)
-    return results
-
-
-def _repository_map(
+def repository_map(
     packages: list[PackageRecord],
     cves: list[CveRecord],
     mode: str = "all",
     indexes: IndexSet | None = None,
-    workers: int = 1,
-):
+    tallies: dict | None = None,
+) -> list[MappingResult]:
+    """Match CVE reference links against package repo_links.
+
+    ``mode="all"`` credits every package sharing a matched repository;
+    ``mode="first"`` credits only the first package (source order) of the
+    first matching link per CVE. ``tallies``, when given, receives the CVE
+    counts.
+    """
     if mode not in ("all", "first"):
         raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
     if indexes is None:
-        indexes = build_indexes(packages, cves)
+        indexes = build_indexes(packages)
     by_repo_link = indexes.by_repo_link
     platform_of = {pkg.package_key: pkg.platform for pkg in packages}
 
@@ -437,24 +414,7 @@ def _repository_map(
                 )
         return out
 
-    return _run_per_cve(per_cve, cves, workers)
-
-
-def repository_map(
-    packages: list[PackageRecord],
-    cves: list[CveRecord],
-    mode: str = "all",
-    indexes: IndexSet | None = None,
-    workers: int = 1,
-) -> list[MappingResult]:
-    """Match CVE reference links against package repo_links.
-
-    ``mode="all"`` credits every package sharing a matched repository;
-    ``mode="first"`` credits only the first package (source order) of the
-    first matching link per CVE.
-    """
-    results, _ = _repository_map(packages, cves, mode, indexes, workers)
-    return results
+    return _run_per_cve(per_cve, cves, tallies)
 
 
 @dataclass
@@ -470,26 +430,22 @@ def run_all(
     cves: list[CveRecord],
     lookup: PlatformLookup,
     cutoff: float = 0.3,
-    indexes: IndexSet | None = None,
-    workers: int = 1,
     malformed_cpes: int = 0,
     strategies: tuple[str, ...] = STRATEGY_KEYS,
     go_last_segment: bool = False,
 ) -> RunOutcome:
     """Run the selected strategies and return keyed results plus tallies."""
-    if indexes is None:
-        indexes = build_indexes(packages, cves)
+    indexes = build_indexes(packages)
     runners = {
-        "strict": lambda: _strict_name_map(
-            packages, cves, lookup, indexes, go_last_segment, workers
-        ),
-        "fuzzy": lambda: _partial_fuzzy_map(packages, cves, lookup, cutoff, indexes, workers),
-        "repository_all": lambda: _repository_map(packages, cves, "all", indexes, workers),
-        "repository_first": lambda: _repository_map(packages, cves, "first", indexes, workers),
+        "strict": lambda t: strict_name_map(packages, cves, lookup, indexes, go_last_segment, t),
+        "fuzzy": lambda t: partial_fuzzy_map(packages, cves, lookup, cutoff, t),
+        "repository_all": lambda t: repository_map(packages, cves, "all", indexes, t),
+        "repository_first": lambda t: repository_map(packages, cves, "first", indexes, t),
     }
     results: dict[str, list[MappingResult]] = {}
     tallies: dict = {}
     for key in strategies:
-        results[key], tallies[key] = runners[key]()
+        tallies[key] = {}
+        results[key] = runners[key](tallies[key])
     tallies["malformed_cpes"] = malformed_cpes
     return RunOutcome(results=results, tallies=tallies)

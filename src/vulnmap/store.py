@@ -8,9 +8,9 @@ files.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
-import os
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -216,21 +216,20 @@ class Workspace:
 
     @contextlib.contextmanager
     def lock(self) -> Iterator[None]:
+        """Hold an exclusive flock on ``.lock``; the kernel drops it if the holder dies.
+
+        The file is never unlinked: a later command would lock a new inode
+        while a holder still locks the old one.
+        """
         self.ensure()
-        lock_path = self.root / LOCK_NAME
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise WorkspaceLocked(
-                f"workspace {self.root} is locked by another command "
-                f"(remove {lock_path} if that command is gone)"
-            ) from None
-        try:
-            os.close(fd)
+        with open(self.root / LOCK_NAME, "a") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise WorkspaceLocked(
+                    f"workspace {self.root} is locked by another command"
+                ) from None
             yield
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                lock_path.unlink()
 
     # -- ndjson -----------------------------------------------------------
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from vulnmap.cli import main
+from vulnmap.store import Workspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGES = str(FIXTURES / "packages_small.csv")
@@ -52,7 +53,6 @@ def test_ingest_summary_counts(tmp_path, capsys):
     assert (ws / "packages.ndjson").exists()
     assert (ws / "cves.ndjson").exists()
     assert (ws / "rejects.ndjson").exists()
-    assert not (ws / ".lock").exists()
 
 
 def test_ingest_with_versions(tmp_path, capsys):
@@ -139,15 +139,6 @@ def test_map_rerun_is_byte_identical(tmp_path, capsys):
     first = workspace_bytes(ws)
     run(capsys, "map", "--workspace", str(ws))
     assert workspace_bytes(ws) == first
-
-
-def test_map_worker_counts_agree(tmp_path, capsys):
-    ws = tmp_path / "ws"
-    ingest(capsys, ws)
-    run(capsys, "map", "--workspace", str(ws), "--workers", "1")
-    serial = workspace_bytes(ws)
-    run(capsys, "map", "--workspace", str(ws), "--workers", "3")
-    assert workspace_bytes(ws) == serial
 
 
 def test_report_platform_share_matches_golden(tmp_path, capsys):
@@ -247,11 +238,11 @@ def test_workspace_env_var(tmp_path, capsys, monkeypatch):
 
 def test_lock_file_blocks_second_writer(tmp_path, capsys):
     ws = tmp_path / "ws"
-    ws.mkdir()
-    (ws / ".lock").touch()
-    code, _, err = ingest(capsys, ws)
+    with Workspace(ws).lock():
+        code, _, err = ingest(capsys, ws)
     assert code == 1
     assert "locked" in err
+    assert not (ws / "packages.ndjson").exists()
 
 
 def test_custom_lookup_file(tmp_path, capsys):
@@ -285,3 +276,35 @@ def test_cve_field_remap_file(tmp_path, capsys):
     code, out, _ = ingest(capsys, ws, PACKAGES, str(cves), "--cve-fields", str(fields))
     assert code == 0
     assert json.loads(out)["cves"] == 1
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("not json", "invalid --cve-fields file"),
+        ('{"cveid": "x"}', "unknown field 'cveid'"),
+        ('["id"]', "must be a JSON object"),
+        ('{"id": 3}', "field 'id' must name a string key"),
+    ],
+    ids=["not-json", "unknown-key", "not-an-object", "non-string-value"],
+)
+def test_malformed_cve_fields_file_is_rejected(tmp_path, capsys, document, message):
+    ws = tmp_path / "ws"
+    fields = tmp_path / "fields.json"
+    fields.write_text(document, encoding="utf-8")
+    code, _, err = ingest(capsys, ws, PACKAGES, CVES, "--cve-fields", str(fields))
+    assert code == 1
+    assert err.startswith("vulnmap: error: invalid --cve-fields file")
+    assert message in err
+    assert not ws.exists()
+
+
+def test_malformed_lookup_file_is_rejected(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    lookup = tmp_path / "lookup.json"
+    lookup.write_text(json.dumps({"platforms": {"NPM": ["npm"]}}), encoding="utf-8")
+    code, _, err = ingest(capsys, ws, PACKAGES, CVES, "--lookup", str(lookup))
+    assert code == 1
+    assert err.startswith("vulnmap: error: invalid lookup config")
+    assert '"platforms" must map each platform to an object' in err
+    assert not ws.exists()

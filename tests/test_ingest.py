@@ -13,7 +13,6 @@ from vulnmap.ingest import (
     JsonStructure,
     RepoRef,
     build_indexes,
-    cve_products,
     extract_repo_ref,
     load_cves,
     load_packages,
@@ -324,36 +323,25 @@ def test_parse_date():
 
 def test_build_indexes_shared_repo_preserves_source_order():
     records, _ = read_small_packages()
-    cves, _, _ = read_small_cves()
-    indexes = build_indexes(records, cves)
+    indexes = build_indexes(records)
     shared = indexes.by_repo_link["github.com/facebook/react"]
     assert shared == ["P002", "P003"]  # react before react-dom, as in the CSV
 
 
 def test_build_indexes_empty():
-    indexes = build_indexes([], [])
+    indexes = build_indexes([])
     assert indexes.by_name == {}
     assert indexes.by_repo_link == {}
-    assert indexes.by_product == {}
 
 
 def test_build_indexes_key_count_matches_bruteforce():
     with open(FIXTURES / "packages_oracle.csv", encoding="utf-8", newline="") as fh:
         packages = list(load_packages(fh, platform_aliases=ALIASES))
-    with open(FIXTURES / "cves_oracle.ndjson", encoding="utf-8") as fh:
-        cves = list(load_cves(fh))
-    indexes = build_indexes(packages, cves)
+    indexes = build_indexes(packages)
     assert len(indexes.by_name) == len({(p.platform, p.name) for p in packages})
-    brute_products = set()
-    for cve in cves:
-        brute_products.update(cve_products(cve))
-    assert set(indexes.by_product) == brute_products
     all_keys = {p.package_key for p in packages}
     for keys in indexes.by_name.values():
         assert set(keys) <= all_keys
-    all_ids = {c.cve_id for c in cves}
-    for ids in indexes.by_product.values():
-        assert set(ids) <= all_ids
 
 
 # -- streaming ------------------------------------------------------------------

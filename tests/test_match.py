@@ -330,10 +330,19 @@ def test_run_all_empty_corpus():
 def test_run_all_tallies_sum_to_total():
     packages, cves = _fixture_corpus()
     outcome = run_all(packages, cves, LOOKUP, malformed_cpes=7)
-    for key in ("strict", "fuzzy", "repository_all", "repository_first"):
+    runners = {
+        "strict": lambda t: strict_name_map(packages, cves, LOOKUP, tallies=t),
+        "fuzzy": lambda t: partial_fuzzy_map(packages, cves, LOOKUP, tallies=t),
+        "repository_all": lambda t: repository_map(packages, cves, "all", tallies=t),
+        "repository_first": lambda t: repository_map(packages, cves, "first", tallies=t),
+    }
+    for key, runner in runners.items():
         tally = outcome.tallies[key]
         assert tally["skipped"] + tally["mapped"] + tally["unmatched"] == tally["total_cves"]
         assert tally["total_cves"] == len(cves)
+        own_tally = {}
+        assert runner(own_tally) == outcome.results[key]
+        assert own_tally == tally
     assert outcome.tallies["malformed_cpes"] == 7
     # Two CVEs carry no products; the ambiguous one is tallied for fuzzy.
     assert outcome.tallies["strict"]["skipped"] == 2
@@ -352,13 +361,16 @@ def test_cve_order_permutation_invariance():
         assert runner(cves) == runner(shuffled)
 
 
-def test_worker_count_determinism():
+def test_cve_order_does_not_change_outcome():
     rng = random.Random(31337)
     packages, cves = random_corpus(rng, 50, 50)
-    serial = run_all(packages, cves, LOOKUP, workers=1)
-    sharded = run_all(packages, cves, LOOKUP, workers=3)
-    assert serial.results == sharded.results
-    assert serial.tallies == sharded.tallies
+    shuffled = list(cves)
+    rng.shuffle(shuffled)
+    assert shuffled != cves
+    in_order = run_all(packages, cves, LOOKUP)
+    reordered = run_all(packages, shuffled, LOOKUP)
+    assert in_order.results == reordered.results
+    assert in_order.tallies == reordered.tallies
 
 
 def test_results_are_unique_and_reference_corpus():

@@ -1,9 +1,15 @@
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import vulnmap
 from test_match import mk_cve, mk_pkg
 from vulnmap.ingest import VersionRecord, load_cves, load_packages
 from vulnmap.match import default_lookup_config, run_all
@@ -73,6 +79,37 @@ def test_workspace_lock_is_exclusive_and_released(tmp_path):
         with pytest.raises(WorkspaceLocked):
             with ws.lock():
                 pass
+    with ws.lock():
+        pass
+
+
+HOLD_LOCK = """
+import sys, time
+from vulnmap.store import Workspace
+with Workspace(sys.argv[1]).lock():
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_lock_is_released_when_holder_is_killed(tmp_path):
+    ws = Workspace(tmp_path / "ws")
+    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(ws.root)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        ready, _, _ = select.select([holder.stdout], [], [], 30)
+        assert ready and holder.stdout.readline() == "locked\n"
+        with pytest.raises(WorkspaceLocked):
+            with ws.lock():
+                pass
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    assert holder.returncode == -signal.SIGKILL
+    assert (ws.root / ".lock").exists()  # left behind, yet no longer a lock
     with ws.lock():
         pass
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 CPE23_PREFIX = "cpe:2.3:"
@@ -10,6 +11,9 @@ ATTRIBUTE_COUNT = 11
 
 WILDCARD = "*"
 NOT_APPLICABLE = "-"
+
+# A backslash with the character it escapes when that is a backslash too.
+_BACKSLASHES = re.compile(r"\\\\?")
 
 
 class MalformedCpe(ValueError):
@@ -54,20 +58,7 @@ def normalize_component(raw: str) -> str:
     Backslashes themselves never survive into the output, which makes the
     function idempotent for every input.
     """
-    s = raw.strip().lower()
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "\\":
-            nxt = s[i + 1] if i + 1 < len(s) else ""
-            if nxt and nxt != "\\":
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out).strip()
+    return _BACKSLASHES.sub("", raw.strip().lower()).strip()
 
 
 def _split_unescaped(s: str) -> list[str]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -19,6 +18,12 @@ SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}$")
 _DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+_WHITESPACE = re.compile(r"\s*")
+_ARRAY_SEPARATORS = re.compile(r"[\s,\]]*")
+# Characters per read of a CVE dump file. Larger reads cut fewer entries
+# off but hold more text: with 64 KiB reads a small-entry NDJSON load
+# peaked at 0.33 MB traced, against 0.05 MB with these.
+_READ_CHARS = 8192
 
 # Libraries.io CSV schemas (logical field -> header name).
 DEFAULT_PACKAGE_COLUMNS = {
@@ -127,12 +132,11 @@ def open_text_auto(path: str | Path) -> TextIO:
 
     Decodes as UTF-8 and tolerates a leading BOM.
     """
-    raw = open(path, "rb")
-    magic = raw.read(2)
-    raw.seek(0)
+    with open(path, "rb") as raw:
+        magic = raw.read(2)
     if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8-sig", newline="")
-    return io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        return gzip.open(path, "rt", encoding="utf-8-sig", newline="")
+    return open(path, encoding="utf-8-sig", newline="")
 
 
 def extract_repo_ref(url: str) -> RepoRef | None:
@@ -179,6 +183,61 @@ def _split_keywords(text: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
+def _read_csv(
+    source: Iterable[str],
+    columns: dict[str, str],
+    label: str,
+    rejects: RejectSink | None,
+    optional: frozenset[str] = frozenset(),
+) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]], Callable[[int, str, object], None]]:
+    """Read a CSV header, then stream the data rows as ``(row_number, row)``.
+
+    Returns the column index of each logical field in ``columns``, the row
+    stream, and a ``reject(row_number, reason, data)`` function that files
+    rejects under ``label``. Rows whose width differs from the header's are
+    rejected as ``field_count`` and not yielded. Raises CsvStructure for an
+    empty input, a missing header that is not ``optional``, or broken quoting.
+    """
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvStructure("empty input: no header row") from None
+    except csv.Error as exc:
+        raise CsvStructure(f"unreadable header row: {exc}") from None
+
+    positions: dict[str, int] = {}
+    for logical, header_name in columns.items():
+        if header_name in header:
+            positions[logical] = header.index(header_name)
+        elif logical not in optional:
+            raise CsvStructure(f"missing mapped header {header_name!r}")
+
+    def reject(row_number: int, reason: str, data) -> None:
+        if rejects is not None:
+            rejects({"source": label, "row": row_number, "reason": reason, "data": data})
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        width = len(header)
+        row_number = 0
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise CsvStructure(
+                    f"broken CSV structure near data row {row_number + 1}: {exc}"
+                ) from None
+            row_number += 1
+            if len(row) != width:
+                reject(row_number, "field_count", row)
+                continue
+            yield row_number, row
+
+    return positions, rows(), reject
+
+
 def load_packages(
     source: Iterable[str],
     column_map: dict[str, str] | None = None,
@@ -192,44 +251,12 @@ def load_packages(
     reject entry. Raises CsvStructure when a mapped header is missing or
     the CSV quoting is broken.
     """
-    columns = dict(DEFAULT_PACKAGE_COLUMNS)
-    if column_map:
-        columns.update(column_map)
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvStructure("empty input: no header row") from None
-    except csv.Error as exc:
-        raise CsvStructure(f"unreadable header row: {exc}") from None
-
-    positions: dict[str, int] = {}
-    optional = {"keywords", "license"}
-    for logical, header_name in columns.items():
-        if header_name in header:
-            positions[logical] = header.index(header_name)
-        elif logical not in optional:
-            raise CsvStructure(f"missing mapped header {header_name!r}")
-
-    def reject(row_number: int, reason: str, data) -> None:
-        if rejects is not None:
-            rejects({"source": "packages", "row": row_number, "reason": reason, "data": data})
-
-    width = len(header)
-    row_number = 0
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise CsvStructure(f"broken CSV structure near data row {row_number + 1}: {exc}") from None
-        row_number += 1
-        if len(row) != width:
-            reject(row_number, "field_count", row)
-            continue
+    positions, rows, reject = _read_csv(
+        source, {**DEFAULT_PACKAGE_COLUMNS, **(column_map or {})}, "packages", rejects,
+        optional=frozenset({"keywords", "license"}),
+    )
+    for row_number, row in rows:
         name = normalize_component(row[positions["name"]])
         platform_raw = row[positions["platform"]].strip()
         platform = aliases.get(platform_raw.lower(), platform_raw)
@@ -262,41 +289,11 @@ def load_versions(
     platform_aliases: dict[str, str] | None = None,
 ) -> Iterator[VersionRecord]:
     """Stream VersionRecords out of a published-versions CSV."""
-    columns = dict(DEFAULT_VERSION_COLUMNS)
-    if column_map:
-        columns.update(column_map)
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvStructure("empty input: no header row") from None
-    except csv.Error as exc:
-        raise CsvStructure(f"unreadable header row: {exc}") from None
-    positions = {}
-    for logical, header_name in columns.items():
-        if header_name not in header:
-            raise CsvStructure(f"missing mapped header {header_name!r}")
-        positions[logical] = header.index(header_name)
-
-    def reject(row_number: int, reason: str, data) -> None:
-        if rejects is not None:
-            rejects({"source": "versions", "row": row_number, "reason": reason, "data": data})
-
-    width = len(header)
-    row_number = 0
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise CsvStructure(f"broken CSV structure near data row {row_number + 1}: {exc}") from None
-        row_number += 1
-        if len(row) != width:
-            reject(row_number, "field_count", row)
-            continue
+    positions, rows, reject = _read_csv(
+        source, {**DEFAULT_VERSION_COLUMNS, **(column_map or {})}, "versions", rejects
+    )
+    for row_number, row in rows:
         published = parse_date(row[positions["published"]])
         if published is None:
             reject(row_number, "bad_date", row)
@@ -310,78 +307,73 @@ def load_versions(
         )
 
 
-def _iter_json_array_items(stream: Iterable[str]) -> Iterator[str]:
-    """Yield the raw text of each top-level object in a JSON array.
+def _iter_json_values(source: Iterable[str]) -> Iterator:
+    """Yield the top-level values of a JSON array of objects or of NDJSON.
 
-    Incremental bracket/quote tracking keeps memory bounded by the largest
-    single element, not the document size.
+    A first non-space "[" selects the array layout: its items must be
+    objects, separated by ",", "]" or whitespace. A first "{" selects
+    NDJSON: whitespace-separated values of any type. A file source is read
+    ``_READ_CHARS`` at a time; any other iterable item by item. The buffer
+    keeps only the unread text and grows while an entry is cut off, so
+    memory is bounded by the largest entry, not the document. A malformed
+    entry is only reported at end of input, since until then it may merely
+    be incomplete.
     """
-    depth = 0
-    in_string = False
-    escaped = False
-    seen_open = False
-    buf: list[str] = []
-    for chunk in stream:
-        for ch in chunk:
-            if not seen_open:
-                if ch == "[":
-                    seen_open = True
-                elif not ch.isspace():
-                    raise JsonStructure(f"expected JSON array, found {ch!r}")
-                continue
-            if depth == 0:
-                if ch in ",]" or ch.isspace():
-                    continue
-                if ch != "{":
-                    raise JsonStructure(f"expected object in array, found {ch!r}")
-            buf.append(ch)
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    yield "".join(buf)
-                    buf = []
-    if not seen_open:
-        raise JsonStructure("empty input: no JSON array or objects found")
-    if depth != 0 or buf:
-        raise JsonStructure("unterminated object in JSON array")
-
-
-def _iter_json_entries(source: Iterable[str]) -> Iterator[str]:
-    """Yield raw JSON object texts from an array document or NDJSON lines."""
-    stream = iter(source)
-    head = ""
-    for chunk in stream:
-        if chunk.strip():
-            head = chunk
-            break
+    if hasattr(source, "read"):
+        chunks = iter(lambda: source.read(_READ_CHARS), "")
     else:
+        chunks = iter(source)
+    decode = json.JSONDecoder().raw_decode
+    buf, pos, eof = "", 0, False
+    in_array = None
+    count = 0
+
+    def refill(want: int) -> None:
+        """Drop the consumed text and append at least ``want`` chars, or hit EOF."""
+        nonlocal buf, pos, eof
+        parts, got = [buf[pos:]], 0
+        for chunk in chunks:
+            parts.append(chunk)
+            got += len(chunk)
+            if got >= want:
+                break
+        else:
+            eof = True
+        buf, pos = "".join(parts), 0
+
+    while True:
+        pos = (_ARRAY_SEPARATORS if in_array else _WHITESPACE).match(buf, pos).end()
+        if pos == len(buf):
+            if eof:
+                break
+            refill(1)
+            continue
+        first = buf[pos]
+        if in_array is None:
+            if first not in "[{":
+                raise JsonStructure(f"expected JSON array or object lines, found {first!r}")
+            in_array = first == "["
+            if in_array:
+                pos += 1
+                continue
+        elif in_array and first != "{":
+            raise JsonStructure(f"expected object in array, found {first!r}")
+        try:
+            value, end = decode(buf, pos)
+        except json.JSONDecodeError as exc:
+            if eof:
+                raise JsonStructure(f"invalid JSON in entry {count + 1}: {exc}") from None
+            end = len(buf)
+        # An entry that fails to decode, or a number that ends the buffer,
+        # may continue in the next read.
+        if end == len(buf) and not eof:
+            refill(len(buf) - pos)
+            continue
+        count += 1
+        pos = end
+        yield value
+    if in_array is None:
         raise JsonStructure("empty input: no JSON array or objects found")
-    first = head.lstrip()[0]
-    if first == "[":
-        yield from _iter_json_array_items(_chain_chunks(head, stream))
-    elif first == "{":
-        for line in _chain_chunks(head, stream):
-            if line.strip():
-                yield line
-    else:
-        raise JsonStructure(f"expected JSON array or object lines, found {first!r}")
-
-
-def _chain_chunks(head: str, rest: Iterator[str]) -> Iterator[str]:
-    yield head
-    yield from rest
 
 
 def _as_list(value) -> list:
@@ -401,7 +393,11 @@ def load_cves(
 ) -> Iterator[CveRecord]:
     """Stream CveRecords out of a CVE JSON dump (array or NDJSON).
 
-    Unparseable CPE strings inside an entry are counted under
+    ``source`` is an open text file or any iterable of text chunks. Memory
+    is bounded by the largest entry for both layouts, a one-line array
+    included. A value that is not an object becomes a ``not_an_object``
+    reject (NDJSON only; in an array it is a JsonStructure error, as are
+    empty, truncated and unparseable input). Unparseable CPE strings inside an entry are counted under
     ``tallies["malformed_cpes"]`` and skipped; the entry is still yielded.
     Entries without a well-formed CVE id (or repeating one) become rejects.
     """
@@ -418,11 +414,7 @@ def load_cves(
             tallies[key] = tallies.get(key, 0) + amount
 
     seen_ids: set[str] = set()
-    for index, raw in enumerate(_iter_json_entries(source), 1):
-        try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise JsonStructure(f"invalid JSON in entry {index}: {exc}") from None
+    for index, entry in enumerate(_iter_json_values(source), 1):
         if not isinstance(entry, dict):
             reject(index, "not_an_object", entry)
             continue

@@ -71,6 +71,8 @@ def test_normalize_component_examples():
     assert normalize_component("foo\\-bar") == "foo-bar"
     assert normalize_component("  x  ") == "x"
     assert normalize_component("a\\:b") == "a:b"
+    assert normalize_component("a\\\\b") == "ab"
+    assert normalize_component("ab\\") == "ab"
 
 
 def test_normalize_component_idempotent_on_tricky_inputs():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from vulnmap.ingest import (
+    _READ_CHARS,
     CsvStructure,
     JsonStructure,
     RepoRef,
@@ -83,14 +84,19 @@ def test_repo_url_variants_from_fixture():
 
 
 def test_missing_header_raises_csv_structure():
-    source = io.StringIO("ID,Platform,Repository URL\n1,NPM,x\n")
-    with pytest.raises(CsvStructure, match="Name"):
-        list(load_packages(source))
+    cases = [
+        (load_packages, "ID,Platform,Repository URL\n1,NPM,x\n", "Name"),
+        (load_versions, "Platform,Project ID,Published Timestamp\nNPM,1,2019-01-01\n", "Number"),
+    ]
+    for loader, text, missing in cases:
+        with pytest.raises(CsvStructure, match=missing):
+            list(loader(io.StringIO(text)))
 
 
 def test_empty_file_raises_csv_structure():
-    with pytest.raises(CsvStructure):
-        list(load_packages(io.StringIO("")))
+    for loader in (load_packages, load_versions):
+        with pytest.raises(CsvStructure):
+            list(loader(io.StringIO("")))
 
 
 def test_unbalanced_quote_becomes_reject_not_crash():
@@ -171,10 +177,25 @@ def test_cve_record_mapping():
 
 def test_json_array_form_equivalent_to_ndjson():
     lines = (FIXTURES / "cves_small.ndjson").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
     array_text = "[\n" + ",\n".join(lines) + "\n]\n"
     ndjson_records, _, _ = read_small_cves()
-    array_records = list(load_cves(io.StringIO(array_text)))
-    assert array_records == ndjson_records
+    sources = {
+        "one entry per line": io.StringIO(array_text),
+        "compact one-line": io.StringIO(json.dumps(entries, separators=(",", ":"))),
+        "indented": io.StringIO(json.dumps(entries, indent=2)),
+        "1-char chunks": (ch for ch in array_text),
+    }
+    for layout, source in sources.items():
+        assert list(load_cves(source)) == ndjson_records, layout
+
+    # One entry longer than a read, so it is cut off at least twice.
+    entries[7]["summary"] = "long summary " * (_READ_CHARS // 5)
+    assert len(json.dumps(entries[7])) > 2 * _READ_CHARS
+    ndjson_text = "\n".join(json.dumps(e) for e in entries) + "\n"
+    ndjson_records = list(load_cves(io.StringIO(ndjson_text)))
+    assert ndjson_records[7].summary == entries[7]["summary"]
+    assert list(load_cves(io.StringIO(json.dumps(entries)))) == ndjson_records
 
 
 def test_duplicate_and_bad_ids_rejected():
@@ -183,13 +204,16 @@ def test_duplicate_and_bad_ids_rejected():
         {"id": "CVE-2020-1111", "summary": "again"},
         {"id": "not-a-cve", "summary": "bad"},
         {"summary": "missing id"},
+        "x",
     ]
     text = "\n".join(json.dumps(e) for e in entries)
     rejects = []
     records = list(load_cves(io.StringIO(text), rejects=rejects.append))
     assert [r.cve_id for r in records] == ["CVE-2020-1111"]
-    assert sorted(r["reason"] for r in rejects) == ["bad_cve_id", "bad_cve_id", "duplicate_cve_id"]
-    assert len(records) + len(rejects) == 4
+    assert sorted(r["reason"] for r in rejects) == [
+        "bad_cve_id", "bad_cve_id", "duplicate_cve_id", "not_an_object"
+    ]
+    assert len(records) + len(rejects) == 5
 
 
 def test_document_level_json_error_aborts():
@@ -201,6 +225,16 @@ def test_document_level_json_error_aborts():
         list(load_cves(io.StringIO("[1, 2]")))
     with pytest.raises(JsonStructure):
         list(load_cves(io.StringIO("")))
+    # A malformed entry after more than one read of valid entries.
+    valid = [
+        {"id": f"CVE-2020-{1000 + i}", "summary": "s" * 100}
+        for i in range(3 * _READ_CHARS // 100)
+    ]
+    text = json.dumps(valid)[:-1] + ', {"id": "CVE-2020-9999", "summary": }]'
+    records = []
+    with pytest.raises(JsonStructure, match=f"entry {len(valid) + 1}"):
+        records.extend(load_cves(io.StringIO(text)))
+    assert len(records) == len(valid)
 
 
 def test_cve_field_remapping():
@@ -300,6 +334,7 @@ def test_load_versions():
         "NPM,lodash,1,4.17.11,2019-02-03 10:00:00 UTC\n"
         "Rubygems,rails,2,6.0.0,2019-08-16 00:00:00 UTC\n"
         "NPM,lodash,1,broken,not-a-date\n"
+        "NPM,lodash,1,4.17.12\n"
     )
     rejects = []
     records = list(load_versions(io.StringIO(text), rejects=rejects.append,
@@ -307,7 +342,9 @@ def test_load_versions():
     assert len(records) == 2
     assert records[0].published == date(2019, 2, 3)
     assert records[1].platform == "Ruby"
-    assert len(rejects) == 1 and rejects[0]["reason"] == "bad_date"
+    assert [(r["source"], r["row"], r["reason"]) for r in rejects] == [
+        ("versions", 3, "bad_date"), ("versions", 4, "field_count")
+    ]
 
 
 def test_parse_date():
@@ -367,29 +404,42 @@ def test_streaming_memory_bounded_on_1m_rows():
     assert peak - baseline < 8_000_000  # bytes; the file equivalent is ~90 MB
 
 
-def test_streaming_cves_memory_bounded():
+def test_streaming_cves_memory_bounded(tmp_path):
     def synthetic_entries(n):
         for i in range(n):
-            yield (
-                json.dumps(
-                    {
-                        "id": f"CVE-2019-{10000 + i}",
-                        "summary": f"entry {i}",
-                        "references": [f"https://github.com/o/{i}"],
-                        "Published": "2019-01-01T00:00:00",
-                        "vulnerable_configuration": [
-                            f"cpe:2.3:a:acme:prod{i}:*:*:*:*:*:node.js:*:*"
-                        ],
-                    }
-                )
-                + "\n"
+            yield json.dumps(
+                {
+                    "id": f"CVE-2019-{10000 + i}",
+                    "summary": f"entry {i}",
+                    "references": [f"https://github.com/o/{i}"],
+                    "Published": "2019-01-01T00:00:00",
+                    "vulnerable_configuration": [
+                        f"cpe:2.3:a:acme:prod{i}:*:*:*:*:*:node.js:*:*"
+                    ],
+                }
             )
 
-    tracemalloc.start()
-    baseline = tracemalloc.get_traced_memory()[0]
-    count = sum(1 for _ in load_cves(synthetic_entries(50_000)))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert count == 50_000
+    def traced_count(source):
+        tracemalloc.start()
+        baseline = tracemalloc.get_traced_memory()[0]
+        count = sum(1 for _ in load_cves(source))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return count, peak - baseline
+
     # The duplicate-id guard retains one id string per entry; allow for it.
-    assert peak - baseline < 16_000_000
+    count, peak = traced_count(line + "\n" for line in synthetic_entries(50_000))
+    assert count == 50_000
+    assert peak < 16_000_000
+
+    # The same entries as one compact array line (about 12 MB) in a file.
+    path = tmp_path / "cves.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[")
+        for i, line in enumerate(synthetic_entries(50_000)):
+            fh.write(("," if i else "") + line)
+        fh.write("]")
+    with open_text_auto(path) as fh:
+        count, peak = traced_count(fh)
+    assert count == 50_000
+    assert peak < 16_000_000

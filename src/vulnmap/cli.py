@@ -8,6 +8,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import ingest as ing
 from . import report as rep
@@ -18,15 +19,45 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 
-ALL_REPORTS = (
-    "platform-share",
-    "license-distribution",
-    "versions-per-year",
-    "cve-per-year",
-    "vulnerable-packages",
-    "mapped-cve-per-year",
-    "top-repo-links",
-)
+
+class ReportSpec(NamedTuple):
+    snapshot: str  # the store snapshot the builder reads: a key of SNAPSHOTS
+    build: Callable  # (snapshot, workspace, top_k or None) -> rep.Report
+    needs: tuple[str, ...] = ()  # strategy keys; at least one mapping file must exist
+
+
+# Loaders and report functions are looked up when called, never captured here,
+# so wrappers installed on ``store.Workspace`` or ``vulnmap.report`` apply.
+SNAPSHOTS: dict[str, Callable] = {
+    "packages": lambda ws: ws.load_packages(),
+    "versions": lambda ws: ws.load_versions(),
+    "cves": lambda ws: ws.load_cves(),
+    "mappings": lambda ws: {
+        key: ws.load_mappings(key) for key in STRATEGY_KEYS if ws.mappings_path(key).exists()
+    },
+}
+
+# Reports that read the same snapshot are adjacent, so "all" loads each once.
+_SHARE_K, _RANK_K = rep.DEFAULT_TOP_K_SHARE, rep.DEFAULT_TOP_K_RANKING
+REPORTS: dict[str, ReportSpec] = {
+    "platform-share": ReportSpec(
+        "packages", lambda pkgs, ws, k: rep.platform_project_share(pkgs, k or _SHARE_K)),
+    "license-distribution": ReportSpec(
+        "packages", lambda pkgs, ws, k: rep.license_distribution(pkgs, k or _SHARE_K)),
+    "top-repo-links": ReportSpec(
+        "packages", lambda pkgs, ws, k: rep.top_repo_links(pkgs, k or _RANK_K)),
+    "versions-per-year": ReportSpec(
+        "versions", lambda versions, ws, k: rep.versions_per_year(versions)),
+    "cve-per-year": ReportSpec(
+        "cves", lambda cves, ws, k: rep.cve_per_year(cves)),
+    "mapped-cve-per-year": ReportSpec(
+        "cves", lambda cves, ws, k: rep.mapped_cve_per_year(ws.load_mappings("strict"), cves),
+        needs=("strict",)),
+    "vulnerable-packages": ReportSpec(
+        "mappings", lambda mappings, ws, k: rep.vulnerable_package_count(mappings, k or _RANK_K),
+        needs=STRATEGY_KEYS),
+}
+ALL_REPORTS = tuple(REPORTS)
 
 
 @dataclass
@@ -249,57 +280,31 @@ def cmd_map(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_report(name: str, config: RunConfig, workspace: store.Workspace) -> rep.Report:
-    top_k = config.top_k
-    if name == "platform-share":
-        return rep.platform_project_share(
-            workspace.load_packages(), top_k or rep.DEFAULT_TOP_K_SHARE
-        )
-    if name == "license-distribution":
-        return rep.license_distribution(
-            workspace.load_packages(), top_k or rep.DEFAULT_TOP_K_SHARE
-        )
-    if name == "versions-per-year":
-        return rep.versions_per_year(workspace.load_versions())
-    if name == "cve-per-year":
-        return rep.cve_per_year(workspace.load_cves())
-    if name == "vulnerable-packages":
-        mappings = {}
-        for strategy_key in STRATEGY_KEYS:
-            if workspace.mappings_path(strategy_key).exists():
-                mappings[strategy_key] = workspace.load_mappings(strategy_key)
-        if not mappings:
-            raise FileNotFoundError(workspace.mappings_path("strict"))
-        return rep.vulnerable_package_count(mappings, top_k or rep.DEFAULT_TOP_K_RANKING)
-    if name == "mapped-cve-per-year":
-        path = workspace.mappings_path("strict")
-        if not path.exists():
-            raise FileNotFoundError(path)
-        return rep.mapped_cve_per_year(workspace.load_mappings("strict"), workspace.load_cves())
-    if name == "top-repo-links":
-        return rep.top_repo_links(workspace.load_packages(), top_k or rep.DEFAULT_TOP_K_RANKING)
-    raise ValueError(f"unknown report {name!r}")
-
-
 def cmd_report(config: RunConfig) -> int:
     workspace = store.Workspace(config.workspace)
     if not workspace.has_store():
         return _fail(
             f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
         )
-    summary = workspace.read_summary()
     written = []
     try:
         with workspace.lock():
+            summary = workspace.read_summary()
             for name in config.reports:
-                try:
-                    report = _build_report(name, config, workspace)
-                except FileNotFoundError as exc:
+                needs = REPORTS[name].needs
+                if needs and not any(workspace.mappings_path(k).exists() for k in needs):
                     return _fail(
-                        f"report {name!r} needs mapping output {exc}; run 'vulnmap map' first"
+                        f"report {name!r} needs mapping output "
+                        f"{workspace.mappings_path(needs[0])}; run 'vulnmap map' first"
                     )
+            kind = data = None
+            for name in config.reports:
+                spec = REPORTS[name]
+                if spec.snapshot != kind:
+                    data = None  # drop the previous snapshot before loading the next
+                    kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](workspace)
+                report = spec.build(data, workspace, config.top_k)
                 report.metadata["inputs"] = summary.get("inputs", {})
-                report.metadata["cutoff"] = config.cutoff
                 path = workspace.report_path(name, config.format)
                 rep.export_report(report, config.format, path)
                 written.append(str(path))
@@ -322,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Map CVE entries to open-source packages and report frequency analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    lookup_help = "platform lookup configuration file (JSON)"
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -329,12 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=os.environ.get("VULNMAP_WORKSPACE"),
             help="workspace directory (default: $VULNMAP_WORKSPACE)",
         )
-        p.add_argument("--lookup", help="platform lookup configuration file (JSON)")
-        p.add_argument("--cutoff", type=_cutoff_arg, default=0.3,
-                       help="fuzzy similarity cutoff (default 0.3)")
 
     p_ingest = sub.add_parser("ingest", help="parse source dumps into the workspace store")
     add_common(p_ingest)
+    p_ingest.add_argument("--lookup", help=lookup_help)
     p_ingest.add_argument("--packages", required=True,
                           help="package metadata CSV (gzip accepted)")
     p_ingest.add_argument("--versions", help="published versions CSV (optional)")
@@ -344,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", help="run mapping strategies over the store")
     add_common(p_map)
+    p_map.add_argument("--lookup", help=lookup_help)
+    p_map.add_argument("--cutoff", type=_cutoff_arg, default=0.3,
+                       help="fuzzy similarity cutoff (default 0.3)")
     p_map.add_argument("--strategy", choices=("strict", "fuzzy", "repository", "all"),
                        default="all")
     p_map.add_argument("--mode", choices=("all", "first"), default=None,
@@ -366,17 +373,16 @@ def _as_path(value) -> Path | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        workspace=Path(args.workspace),
-        lookup=_as_path(args.lookup),
-        cutoff=args.cutoff,
-    )
+    config = RunConfig(workspace=Path(args.workspace))
+    if args.command in ("ingest", "map"):
+        config.lookup = _as_path(args.lookup)
     if args.command == "ingest":
         config.packages = _as_path(args.packages)
         config.cves = _as_path(args.cves)
         config.versions = _as_path(args.versions)
         config.cve_fields = _as_path(args.cve_fields)
     elif args.command == "map":
+        config.cutoff = args.cutoff
         config.strategies = _selected_strategies(args.strategy, args.mode)
         config.go_last_segment = args.go_last_segment
     elif args.command == "report":

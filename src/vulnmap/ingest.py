@@ -19,7 +19,7 @@ SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}$")
 _DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 _WHITESPACE = re.compile(r"\s*")
-_ARRAY_SEPARATORS = re.compile(r"[\s,\]]*")
+_ARRAY_SEPARATORS = re.compile(r"[\s,]*")
 # Characters per read of a CVE dump file. Larger reads cut fewer entries
 # off but hold more text: with 64 KiB reads a small-entry NDJSON load
 # peaked at 0.33 MB traced, against 0.05 MB with these.
@@ -311,8 +311,9 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
     """Yield the top-level values of a JSON array of objects or of NDJSON.
 
     A first non-space "[" selects the array layout: its items must be
-    objects, separated by ",", "]" or whitespace. A first "{" selects
-    NDJSON: whitespace-separated values of any type. A file source is read
+    objects, separated by "," or whitespace, and a "]" followed only by
+    whitespace must end the input. A first "{" selects NDJSON:
+    whitespace-separated values of any type. A file source is read
     ``_READ_CHARS`` at a time; any other iterable item by item. The buffer
     keeps only the unread text and grows while an entry is cut off, so
     memory is bounded by the largest entry, not the document. A malformed
@@ -325,7 +326,7 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
         chunks = iter(source)
     decode = json.JSONDecoder().raw_decode
     buf, pos, eof = "", 0, False
-    in_array = None
+    layout = None  # "[": in an array, "]": after it, "{": NDJSON
     count = 0
 
     def refill(want: int) -> None:
@@ -342,21 +343,26 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
         buf, pos = "".join(parts), 0
 
     while True:
-        pos = (_ARRAY_SEPARATORS if in_array else _WHITESPACE).match(buf, pos).end()
+        pos = (_ARRAY_SEPARATORS if layout == "[" else _WHITESPACE).match(buf, pos).end()
         if pos == len(buf):
             if eof:
                 break
             refill(1)
             continue
         first = buf[pos]
-        if in_array is None:
+        if layout is None:
             if first not in "[{":
                 raise JsonStructure(f"expected JSON array or object lines, found {first!r}")
-            in_array = first == "["
-            if in_array:
+            layout = first
+            if layout == "[":
                 pos += 1
                 continue
-        elif in_array and first != "{":
+        elif layout == "]":
+            raise JsonStructure(f"unexpected {first!r} after the end of the JSON array")
+        elif layout == "[" and first == "]":
+            layout, pos = "]", pos + 1
+            continue
+        elif layout == "[" and first != "{":
             raise JsonStructure(f"expected object in array, found {first!r}")
         try:
             value, end = decode(buf, pos)
@@ -372,8 +378,10 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
         count += 1
         pos = end
         yield value
-    if in_array is None:
+    if layout is None:
         raise JsonStructure("empty input: no JSON array or objects found")
+    if layout == "[":
+        raise JsonStructure(f"truncated JSON array: no closing ']' after entry {count}")
 
 
 def _as_list(value) -> list:

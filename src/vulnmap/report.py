@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -62,8 +63,48 @@ def _shares(counts: list[int]) -> list[Decimal]:
     return [Decimal(c).scaleb(-2) for c in cents]
 
 
-def _ranked(counter: Counter) -> list[tuple[str, int]]:
-    return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+def _ranked(counter: Counter, limit: int | None = None) -> list[tuple]:
+    """Items by count descending, then key; only the first ``limit`` if given.
+
+    ``nsmallest`` keeps ``limit`` items rather than sorting them all: the
+    repository-link counter has about one entry per package.
+    """
+    n = len(counter) if limit is None else limit
+    return heapq.nsmallest(n, counter.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _count_rows(counter: Counter, limit: int | None = None) -> list[ReportRow]:
+    """Rows by count descending then key; a key that is not a tuple is one column.
+
+    Single-column counters keep plain string keys: a tuple per distinct
+    key would cost memory on counters as large as the package list.
+    """
+    return [
+        ReportRow(keys=keys if isinstance(keys, tuple) else (keys,), count=count)
+        for keys, count in _ranked(counter, limit)
+    ]
+
+
+def _top_k_rows(
+    counter: Counter, top_k: int, prefix: tuple[str, ...] = (), shares: bool = False
+) -> tuple[list[ReportRow], int]:
+    """The top-k rows of a counter plus one "Others" row summing the rest.
+
+    Keys are prefixed with ``prefix``; with ``shares`` every row, Others
+    included, carries its apportioned share. Returns the rows (Others last,
+    if any) and the number of keys folded into Others.
+    """
+    head = _ranked(counter, top_k)
+    cells = [((*prefix, key), count) for key, count in head]
+    folded = len(counter) - len(head)
+    if folded:
+        cells.append(((*prefix, OTHERS_LABEL), sum(counter.values()) - sum(c for _, c in head)))
+    share_column = _shares([c for _, c in cells]) if shares else [None] * len(cells)
+    rows = [
+        ReportRow(keys=keys, count=count, share=share)
+        for (keys, count), share in zip(cells, share_column)
+    ]
+    return rows, folded
 
 
 def platform_project_share(
@@ -71,18 +112,7 @@ def platform_project_share(
 ) -> Report:
     """Project counts and percentage shares of the top-k package managers."""
     counter = Counter(pkg.platform for pkg in packages)
-    ranked = _ranked(counter)
-    head, tail = ranked[:top_k], ranked[top_k:]
-    counts = [c for _, c in head]
-    labels = [p for p, _ in head]
-    if tail:
-        labels.append(OTHERS_LABEL)
-        counts.append(sum(c for _, c in tail))
-    shares = _shares(counts)
-    rows = [
-        ReportRow(keys=(label,), count=count, share=share)
-        for label, count, share in zip(labels, counts, shares)
-    ]
+    rows, aggregated = _top_k_rows(counter, top_k, shares=True)
     return Report(
         title="Projects per package manager",
         group_columns=["platform"],
@@ -90,7 +120,7 @@ def platform_project_share(
         metadata={
             "top_k": top_k,
             "total_projects": sum(counter.values()),
-            "aggregated_platforms": len(tail),
+            "aggregated_platforms": aggregated,
             "count_basis": "distinct package_key",
         },
     )
@@ -104,25 +134,9 @@ def license_distribution(
     Shares are computed over licensed packages only, so the "(unspecified)"
     row carries a count but no share.
     """
-    counter: Counter = Counter()
-    unspecified = 0
-    for pkg in packages:
-        if pkg.license:
-            counter[pkg.license] += 1
-        else:
-            unspecified += 1
-    ranked = _ranked(counter)
-    head, tail = ranked[:top_k], ranked[top_k:]
-    counts = [c for _, c in head]
-    labels = [label for label, _ in head]
-    if tail:
-        labels.append(OTHERS_LABEL)
-        counts.append(sum(c for _, c in tail))
-    shares = _shares(counts)
-    rows = [
-        ReportRow(keys=(label,), count=count, share=share)
-        for label, count, share in zip(labels, counts, shares)
-    ]
+    counter = Counter(pkg.license for pkg in packages if pkg.license)
+    unspecified = sum(1 for pkg in packages if not pkg.license)
+    rows, _ = _top_k_rows(counter, top_k, shares=True)
     if unspecified:
         rows.append(ReportRow(keys=(UNSPECIFIED_LABEL,), count=unspecified, share=None))
     return Report(
@@ -144,14 +158,10 @@ def versions_per_year(versions: Iterable[VersionRecord]) -> Report:
     straight off the streaming loader.
     """
     counter = Counter((v.platform, str(v.published.year)) for v in versions)
-    rows = [
-        ReportRow(keys=keys, count=count)
-        for keys, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
     return Report(
         title="Published versions per package manager and year",
         group_columns=["platform", "year"],
-        rows=rows,
+        rows=_count_rows(counter),
         metadata={"total_versions": sum(counter.values())},
     )
 
@@ -159,14 +169,10 @@ def versions_per_year(versions: Iterable[VersionRecord]) -> Report:
 def cve_per_year(cves: Iterable[CveRecord]) -> Report:
     """CVE entry counts per year (published date, falling back to id year)."""
     counter = Counter(str(cve.year) for cve in cves)
-    rows = [
-        ReportRow(keys=(year,), count=count)
-        for year, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
     return Report(
         title="New CVE entries per year",
         group_columns=["year"],
-        rows=rows,
+        rows=_count_rows(counter),
         metadata={"total_cves": sum(counter.values())},
     )
 
@@ -177,36 +183,18 @@ def vulnerable_package_count(
     """Distinct vulnerable packages per (strategy, platform).
 
     Rows carry distinct package counts; (package, CVE) pair counts are
-    exposed in metadata for comparison.
+    exposed in metadata for comparison. Each strategy's "Others" row comes
+    after every ranked row.
     """
-    distinct: dict[str, dict[str, set[str]]] = {}
-    pairs: dict[str, dict[str, int]] = {}
-    for strategy_key, results in mappings.items():
-        per_platform = distinct.setdefault(strategy_key, {})
-        pair_counter = pairs.setdefault(strategy_key, {})
-        for result in results:
-            per_platform.setdefault(result.platform, set()).add(result.package_key)
-            pair_counter[result.platform] = pair_counter.get(result.platform, 0) + 1
-
     ranked_rows: list[ReportRow] = []
     others_rows: list[ReportRow] = []
-    for strategy_key in sorted(distinct):
-        counter = Counter(
-            {platform: len(keys) for platform, keys in distinct[strategy_key].items()}
-        )
-        ranked = _ranked(counter)
-        head, tail = ranked[:top_k], ranked[top_k:]
-        ranked_rows.extend(
-            ReportRow(keys=(strategy_key, platform), count=count)
-            for platform, count in head
-        )
-        if tail:
-            others_rows.append(
-                ReportRow(
-                    keys=(strategy_key, OTHERS_LABEL),
-                    count=sum(c for _, c in tail),
-                )
-            )
+    for strategy_key in sorted(mappings):
+        distinct = {(r.platform, r.package_key) for r in mappings[strategy_key]}
+        counter = Counter(platform for platform, _ in distinct)
+        rows, aggregated = _top_k_rows(counter, top_k, prefix=(strategy_key,))
+        if aggregated:
+            others_rows.append(rows.pop())
+        ranked_rows.extend(rows)
     ranked_rows.sort(key=lambda r: (-r.count, r.keys))
     others_rows.sort(key=lambda r: (-r.count, r.keys))
     return Report(
@@ -216,7 +204,10 @@ def vulnerable_package_count(
         metadata={
             "top_k": top_k,
             "count_basis": "distinct packages",
-            "pair_counts": {k: dict(sorted(v.items())) for k, v in pairs.items()},
+            "pair_counts": {
+                key: dict(sorted(Counter(r.platform for r in results).items()))
+                for key, results in mappings.items()
+            },
         },
     )
 
@@ -226,21 +217,11 @@ def mapped_cve_per_year(
 ) -> Report:
     """Distinct mapped CVE counts per (platform, year)."""
     year_of = {cve.cve_id: str(cve.year) for cve in cves}
-    cells: dict[tuple[str, str], set[str]] = {}
-    for result in mappings:
-        year = year_of.get(result.cve_id)
-        if year is None:
-            continue
-        cells.setdefault((result.platform, year), set()).add(result.cve_id)
-    counter = Counter({keys: len(ids) for keys, ids in cells.items()})
-    rows = [
-        ReportRow(keys=keys, count=count)
-        for keys, count in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
+    cells = {(r.platform, year_of[r.cve_id], r.cve_id) for r in mappings if r.cve_id in year_of}
     return Report(
         title="Mapped CVE entries per package manager and year",
         group_columns=["platform", "year"],
-        rows=rows,
+        rows=_count_rows(Counter((platform, year) for platform, year, _ in cells)),
         metadata={"count_basis": "distinct cve_id"},
     )
 
@@ -250,13 +231,10 @@ def top_repo_links(
 ) -> Report:
     """The k most frequent repository links across packages."""
     counter = Counter(pkg.repo.repo_link for pkg in packages if pkg.repo is not None)
-    rows = [
-        ReportRow(keys=(link,), count=count) for link, count in _ranked(counter)[:k]
-    ]
     return Report(
         title="Most common repository links",
         group_columns=["repo_link"],
-        rows=rows,
+        rows=_count_rows(counter, k),
         metadata={"k": k, "distinct_links": len(counter)},
     )
 

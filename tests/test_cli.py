@@ -1,10 +1,11 @@
 import gzip
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from vulnmap.cli import main
+from vulnmap.cli import ALL_REPORTS, main
 from vulnmap.store import Workspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -178,6 +179,68 @@ def test_report_all_exports_everything(tmp_path, capsys):
     assert expected <= {p.name for p in ws.iterdir()}
 
 
+def test_report_all_without_mappings_writes_nothing(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    code, _, err = run(capsys, "report", "--workspace", str(ws), "--report", "all")
+    assert code == 1
+    assert "map" in err
+    assert not list(ws.glob("report_*"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_report_alone_matches_report_all(tmp_path, capsys, fmt):
+    versions = tmp_path / "versions.csv"
+    versions.write_text(VERSIONS_CSV, encoding="utf-8")
+    ws = tmp_path / "ws"
+    ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))
+    run(capsys, "map", "--workspace", str(ws))
+
+    def reports():
+        return {p.name: p.read_bytes() for p in sorted(ws.glob("report_*"))}
+
+    code, _, _ = run(capsys, "report", "--workspace", str(ws), "--report", "all",
+                     "--format", fmt)
+    assert code == 0
+    together = reports()
+    assert len(together) == len(ALL_REPORTS)
+    for path in ws.glob("report_*"):
+        path.unlink()
+    for name in ALL_REPORTS:
+        code, _, _ = run(capsys, "report", "--workspace", str(ws), "--report", name,
+                         "--format", fmt)
+        assert code == 0
+    assert reports() == together
+
+
+def test_report_all_loads_each_snapshot_once(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    run(capsys, "map", "--workspace", str(ws))
+    calls = Counter()
+    for kind in ("packages", "versions", "cves"):
+        original = getattr(Workspace, f"load_{kind}")
+
+        def counted(self, _original=original, _kind=kind):
+            calls[_kind] += 1
+            return _original(self)
+        monkeypatch.setattr(Workspace, f"load_{kind}", counted)
+    code, _, _ = run(capsys, "report", "--workspace", str(ws), "--report", "all")
+    assert code == 0
+    assert calls == {"packages": 1, "versions": 1, "cves": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--packages", PACKAGES, "--cves", CVES, "--cutoff", "0.5"],
+    ["report", "--cutoff", "0.5"],
+    ["report", "--lookup", "lookup.json"],
+], ids=["ingest-cutoff", "report-cutoff", "report-lookup"])
+def test_unread_options_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workspace", str(tmp_path / "ws")])
+    assert exc.value.code == 2
+
+
 def test_report_json_format(tmp_path, capsys):
     ws = tmp_path / "ws"
     ingest(capsys, ws)
@@ -186,6 +249,7 @@ def test_report_json_format(tmp_path, capsys):
     assert code == 0
     doc = json.loads((ws / "report_cve_per_year.json").read_text(encoding="utf-8"))
     assert sum(row["count"] for row in doc["rows"]) == 50
+    assert "cutoff" not in doc["metadata"]
 
 
 def test_pipeline_idempotence(tmp_path, capsys):

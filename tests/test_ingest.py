@@ -225,6 +225,15 @@ def test_document_level_json_error_aborts():
         list(load_cves(io.StringIO("[1, 2]")))
     with pytest.raises(JsonStructure):
         list(load_cves(io.StringIO("")))
+    # "]" must end the array: a dump cut off between entries, or anything
+    # but whitespace after the "]", is not a shorter dump.
+    for text in (
+        '[{"id": "CVE-2020-1000"}, {"id": "CVE-2020-1001"}',
+        '[{"id": "CVE-2020-1000"}] {"id": "CVE-2020-1001"}',
+        '[{"id": "CVE-2020-1000"}]]',
+    ):
+        with pytest.raises(JsonStructure):
+            list(load_cves(io.StringIO(text)))
     # A malformed entry after more than one read of valid entries.
     valid = [
         {"id": f"CVE-2020-{1000 + i}", "summary": "s" * 100}

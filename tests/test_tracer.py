@@ -1,0 +1,42 @@
+"""The benchmark's tracer still sees every layer of a traced pipeline.
+
+``perfbench/tracer.py`` wraps module attributes after importing the CLI, so
+these checks fail if the CLI captures a report function or a store loader
+at import time instead of looking it up when it calls it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+PERFBENCH = ROOT / "perfbench"
+
+
+def traced(tmp_path, *argv):
+    trace = tmp_path / f"trace-{argv[0]}.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), str(trace), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(trace.read_text(encoding="utf-8"))
+
+
+def test_traced_report_spans_every_report_and_loads_packages_once(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from expect import REPORT_FUNCTIONS
+
+    ws = str(tmp_path / "ws")
+    traced(tmp_path, "ingest", "--workspace", ws,
+           "--packages", str(FIXTURES / "packages_small.csv"),
+           "--cves", str(FIXTURES / "cves_small.ndjson"))
+    traced(tmp_path, "map", "--workspace", ws)
+    trace = traced(tmp_path, "report", "--workspace", ws, "--report", "all")
+    spans = {span["name"] for span in trace["spans"]}
+    assert {f"report.{name}" for name in (*REPORT_FUNCTIONS, "export_report")} <= spans
+    assert trace["counts"]["store.load_packages"] == 1

@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -18,6 +17,10 @@ from .match import STRATEGY_KEYS, LookupConfig, default_lookup_config, load_look
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
+
+
+class CommandError(Exception):
+    """A command failure; ``main`` prints it as ``vulnmap: error: ...`` and exits 1."""
 
 
 class ReportSpec(NamedTuple):
@@ -60,25 +63,9 @@ REPORTS: dict[str, ReportSpec] = {
 ALL_REPORTS = tuple(REPORTS)
 
 
-@dataclass
-class RunConfig:
-    workspace: Path
-    packages: Path | None = None
-    cves: Path | None = None
-    versions: Path | None = None
-    lookup: Path | None = None
-    cve_fields: Path | None = None
-    cutoff: float = 0.3
-    strategies: tuple[str, ...] = STRATEGY_KEYS
-    reports: tuple[str, ...] = ALL_REPORTS
-    top_k: int | None = None
-    format: str = "csv"
-    go_last_segment: bool = False
-
-
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_ERROR) -> int:
     print(f"vulnmap: error: {message}", file=sys.stderr)
-    return EXIT_ERROR
+    return code
 
 
 def _emit(obj: dict) -> None:
@@ -105,10 +92,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_lookup(config: RunConfig) -> LookupConfig:
-    if config.lookup is not None:
-        return load_lookup_config(config.lookup)
-    return default_lookup_config()
+def _lookup(args: argparse.Namespace) -> LookupConfig:
+    if args.lookup is None:
+        return default_lookup_config()
+    try:
+        return load_lookup_config(args.lookup)
+    except (OSError, ValueError) as exc:
+        raise CommandError(f"invalid lookup config: {exc}") from None
 
 
 def _load_cve_fields(path: Path) -> dict[str, str]:
@@ -124,196 +114,149 @@ def _load_cve_fields(path: Path) -> dict[str, str]:
     return doc
 
 
+def _require_store(workspace: store.Workspace) -> None:
+    if not workspace.has_store():
+        raise CommandError(
+            f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
+        )
+
+
 def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
     if strategy == "all":
         return STRATEGY_KEYS
-    if strategy == "strict":
-        return ("strict",)
-    if strategy == "fuzzy":
-        return ("fuzzy",)
-    if mode == "all":
-        return ("repository_all",)
-    if mode == "first":
-        return ("repository_first",)
-    return ("repository_all", "repository_first")
+    if strategy != "repository":
+        return (strategy,)
+    return (f"repository_{mode}",) if mode else ("repository_all", "repository_first")
 
 
 # ---------------------------------------------------------------------------
-# ingest
+# commands: (parsed arguments, workspace) -> JSON summary; failures raise
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(config: RunConfig) -> int:
-    for label, path in (("packages", config.packages), ("cves", config.cves)):
-        if path is None:
-            return _fail(f"--{label} is required for ingest")  # library callers only
+def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     for label, path in (
-        ("packages", config.packages),
-        ("cves", config.cves),
-        ("versions", config.versions),
-        ("lookup", config.lookup),
-        ("cve-fields", config.cve_fields),
+        ("packages", args.packages),
+        ("cves", args.cves),
+        ("versions", args.versions),
+        ("lookup", args.lookup),
+        ("cve-fields", args.cve_fields),
     ):
-        if path is not None and not Path(path).exists():
-            return _fail(f"cannot read --{label} input: {path}")
-
+        # A directory would fail only mid-ingest, once earlier store files are rewritten.
+        if path is not None and (not path.exists() or path.is_dir()):
+            raise CommandError(f"cannot read --{label} input: {path}")
+    aliases = _lookup(args).platform_aliases
     try:
-        lookup_config = _load_lookup(config)
+        field_map = None if args.cve_fields is None else _load_cve_fields(args.cve_fields)
     except (OSError, ValueError) as exc:
-        return _fail(f"invalid lookup config: {exc}")
-    try:
-        field_map = None if config.cve_fields is None else _load_cve_fields(config.cve_fields)
-    except (OSError, ValueError) as exc:
-        return _fail(f"invalid --cve-fields file: {exc}")
+        raise CommandError(f"invalid --cve-fields file: {exc}") from None
 
-    workspace = store.Workspace(config.workspace).ensure()
-    try:
-        with workspace.lock():
-            return _ingest_locked(config, workspace, lookup_config, field_map)
-    except store.WorkspaceLocked as exc:
-        return _fail(str(exc))
-
-
-def _ingest_locked(config, workspace, lookup_config, field_map) -> int:
     rejects: list[dict] = []
     tallies: dict = {}
-    aliases = lookup_config.platform_aliases
-
-    try:
-        with ing.open_text_auto(config.packages) as src:
-            records = ing.load_packages(src, rejects=rejects.append, platform_aliases=aliases)
-            package_count = workspace.write_ndjson(
-                workspace.packages_path, (store.package_to_dict(p) for p in records)
-            )
-        version_count = 0
-        if config.versions is not None:
-            with ing.open_text_auto(config.versions) as src:
-                records = ing.load_versions(src, rejects=rejects.append, platform_aliases=aliases)
-                version_count = workspace.write_ndjson(
-                    workspace.versions_path, (store.version_to_dict(v) for v in records)
+    with workspace.lock():
+        try:
+            with ing.open_text_auto(args.packages) as src:
+                records = ing.load_packages(src, rejects=rejects.append, platform_aliases=aliases)
+                package_count = workspace.write_ndjson(
+                    workspace.packages_path, (store.package_to_dict(p) for p in records)
                 )
-        else:
-            workspace.write_ndjson(workspace.versions_path, ())
-        with ing.open_text_auto(config.cves) as src:
-            records = ing.load_cves(src, field_map=field_map, rejects=rejects.append, tallies=tallies)
-            cve_count = workspace.write_ndjson(
-                workspace.cves_path, (store.cve_to_dict(c) for c in records)
-            )
-    except (ing.CsvStructure, ing.JsonStructure) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(f"cannot read input: {exc}")
-
-    workspace.write_ndjson(workspace.rejects_path, rejects)
-    reject_counts: dict[str, int] = {}
-    for entry in rejects:
-        reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
-
-    inputs = {"packages": {"sha256": store.sha256_file(config.packages)}}
-    if config.versions is not None:
-        inputs["versions"] = {"sha256": store.sha256_file(config.versions)}
-    inputs["cves"] = {"sha256": store.sha256_file(config.cves)}
-
-    summary = {
-        "packages": package_count,
-        "versions": version_count,
-        "cves": cve_count,
-        "rejects": {"total": len(rejects), **reject_counts},
-        "malformed_cpes": tallies.get("malformed_cpes", 0),
-        "inputs": inputs,
-    }
-    workspace.write_summary(summary)
-    _emit({**summary, "workspace": str(workspace.root)})
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# map
-# ---------------------------------------------------------------------------
-
-
-def cmd_map(config: RunConfig) -> int:
-    workspace = store.Workspace(config.workspace)
-    if not workspace.has_store():
-        return _fail(
-            f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
-        )
-    try:
-        lookup_config = _load_lookup(config)
-    except (OSError, ValueError) as exc:
-        return _fail(f"invalid lookup config: {exc}")
-
-    try:
-        with workspace.lock():
-            packages = workspace.load_packages()
-            cves = workspace.load_cves()
-            summary = workspace.read_summary()
-            outcome = run_all(
-                packages,
-                cves,
-                lookup_config.lookup,
-                cutoff=config.cutoff,
-                malformed_cpes=summary.get("malformed_cpes", 0),
-                strategies=config.strategies,
-                go_last_segment=config.go_last_segment,
-            )
-            for strategy_key, results in outcome.results.items():
-                workspace.write_ndjson(
-                    workspace.mappings_path(strategy_key),
-                    (store.mapping_to_dict(r) for r in results),
-                )
-    except store.WorkspaceLocked as exc:
-        return _fail(str(exc))
-
-    _emit(
-        {
-            "tallies": outcome.tallies,
-            "results": {k: len(v) for k, v in outcome.results.items()},
-            "workspace": str(workspace.root),
-        }
-    )
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-
-def cmd_report(config: RunConfig) -> int:
-    workspace = store.Workspace(config.workspace)
-    if not workspace.has_store():
-        return _fail(
-            f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
-        )
-    written = []
-    try:
-        with workspace.lock():
-            summary = workspace.read_summary()
-            for name in config.reports:
-                needs = REPORTS[name].needs
-                if needs and not any(workspace.mappings_path(k).exists() for k in needs):
-                    return _fail(
-                        f"report {name!r} needs mapping output "
-                        f"{workspace.mappings_path(needs[0])}; run 'vulnmap map' first"
+            version_count = 0
+            if args.versions is not None:
+                with ing.open_text_auto(args.versions) as src:
+                    records = ing.load_versions(
+                        src, rejects=rejects.append, platform_aliases=aliases
                     )
-            kind = data = None
-            for name in config.reports:
-                spec = REPORTS[name]
-                if spec.snapshot != kind:
-                    data = None  # drop the previous snapshot before loading the next
-                    kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](workspace)
-                report = spec.build(data, workspace, config.top_k)
-                report.metadata["inputs"] = summary.get("inputs", {})
-                path = workspace.report_path(name, config.format)
-                rep.export_report(report, config.format, path)
-                written.append(str(path))
-    except store.WorkspaceLocked as exc:
-        return _fail(str(exc))
-    except rep.SinkWrite as exc:
-        return _fail(str(exc))
-    _emit({"written": written, "workspace": str(workspace.root)})
-    return EXIT_OK
+                    version_count = workspace.write_ndjson(
+                        workspace.versions_path, (store.version_to_dict(v) for v in records)
+                    )
+            else:
+                workspace.write_ndjson(workspace.versions_path, ())
+            with ing.open_text_auto(args.cves) as src:
+                records = ing.load_cves(
+                    src, field_map=field_map, rejects=rejects.append, tallies=tallies
+                )
+                cve_count = workspace.write_ndjson(
+                    workspace.cves_path, (store.cve_to_dict(c) for c in records)
+                )
+        except (ing.CsvStructure, ing.JsonStructure) as exc:
+            raise CommandError(str(exc)) from None
+        except OSError as exc:
+            raise CommandError(f"cannot read input: {exc}") from None
+
+        workspace.write_ndjson(workspace.rejects_path, rejects)
+        reject_counts: dict[str, int] = {}
+        for entry in rejects:
+            reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
+
+        inputs = {"packages": {"sha256": store.sha256_file(args.packages)}}
+        if args.versions is not None:
+            inputs["versions"] = {"sha256": store.sha256_file(args.versions)}
+        inputs["cves"] = {"sha256": store.sha256_file(args.cves)}
+
+        summary = {
+            "packages": package_count,
+            "versions": version_count,
+            "cves": cve_count,
+            "rejects": {"total": len(rejects), **reject_counts},
+            "malformed_cpes": tallies.get("malformed_cpes", 0),
+            "inputs": inputs,
+        }
+        workspace.write_summary(summary)
+    return summary
+
+
+def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
+    _require_store(workspace)
+    lookup = _lookup(args).lookup
+    with workspace.lock():
+        packages = workspace.load_packages()
+        cves = workspace.load_cves()
+        summary = workspace.read_summary()
+        outcome = run_all(
+            packages,
+            cves,
+            lookup,
+            cutoff=args.cutoff,
+            malformed_cpes=summary.get("malformed_cpes", 0),
+            strategies=_selected_strategies(args.strategy, args.mode),
+            go_last_segment=args.go_last_segment,
+        )
+        for strategy_key, results in outcome.results.items():
+            workspace.write_ndjson(
+                workspace.mappings_path(strategy_key),
+                (store.mapping_to_dict(r) for r in results),
+            )
+    return {
+        "tallies": outcome.tallies,
+        "results": {k: len(v) for k, v in outcome.results.items()},
+    }
+
+
+def cmd_report(args: argparse.Namespace, workspace: store.Workspace) -> dict:
+    _require_store(workspace)
+    names = ALL_REPORTS if args.report == "all" else (args.report,)
+    written = []
+    with workspace.lock():
+        summary = workspace.read_summary()
+        for name in names:
+            needs = REPORTS[name].needs
+            if needs and not any(workspace.mappings_path(k).exists() for k in needs):
+                raise CommandError(
+                    f"report {name!r} needs mapping output "
+                    f"{workspace.mappings_path(needs[0])}; run 'vulnmap map' first"
+                )
+        kind = data = None
+        for name in names:
+            spec = REPORTS[name]
+            if spec.snapshot != kind:
+                data = None  # drop the previous snapshot before loading the next
+                kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](workspace)
+            report = spec.build(data, workspace, args.top_k)
+            report.metadata["inputs"] = summary.get("inputs", {})
+            path = workspace.report_path(name, args.format)
+            rep.export_report(report, args.format, path)
+            written.append(str(path))
+    return {"written": written}
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="parse source dumps into the workspace store")
     add_common(p_ingest)
-    p_ingest.add_argument("--lookup", help=lookup_help)
-    p_ingest.add_argument("--packages", required=True,
+    p_ingest.add_argument("--lookup", type=Path, help=lookup_help)
+    p_ingest.add_argument("--packages", type=Path, required=True,
                           help="package metadata CSV (gzip accepted)")
-    p_ingest.add_argument("--versions", help="published versions CSV (optional)")
-    p_ingest.add_argument("--cves", required=True,
+    p_ingest.add_argument("--versions", type=Path, help="published versions CSV (optional)")
+    p_ingest.add_argument("--cves", type=Path, required=True,
                           help="CVE dump: JSON array or NDJSON (gzip accepted)")
-    p_ingest.add_argument("--cve-fields", help="JSON file remapping CVE field names")
+    p_ingest.add_argument("--cve-fields", type=Path, help="JSON file remapping CVE field names")
 
     p_map = sub.add_parser("map", help="run mapping strategies over the store")
     add_common(p_map)
-    p_map.add_argument("--lookup", help=lookup_help)
+    p_map.add_argument("--lookup", type=Path, help=lookup_help)
     p_map.add_argument("--cutoff", type=_cutoff_arg, default=0.3,
                        help="fuzzy similarity cutoff (default 0.3)")
     p_map.add_argument("--strategy", choices=("strict", "fuzzy", "repository", "all"),
@@ -368,46 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _as_path(value) -> Path | None:
-    return Path(value) if value else None
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(workspace=Path(args.workspace))
-    if args.command in ("ingest", "map"):
-        config.lookup = _as_path(args.lookup)
-    if args.command == "ingest":
-        config.packages = _as_path(args.packages)
-        config.cves = _as_path(args.cves)
-        config.versions = _as_path(args.versions)
-        config.cve_fields = _as_path(args.cve_fields)
-    elif args.command == "map":
-        config.cutoff = args.cutoff
-        config.strategies = _selected_strategies(args.strategy, args.mode)
-        config.go_last_segment = args.go_last_segment
-    elif args.command == "report":
-        config.reports = ALL_REPORTS if args.report == "all" else (args.report,)
-        config.format = args.format
-        config.top_k = args.top_k
-    return config
-
-
-def _usage_error(message: str) -> int:
-    print(f"vulnmap: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if not args.workspace:
-        return _usage_error("no workspace given (use --workspace or set VULNMAP_WORKSPACE)")
+        return _fail("no workspace given (use --workspace or set VULNMAP_WORKSPACE)", EXIT_USAGE)
     if args.command == "report" and args.report != "all" and args.report not in ALL_REPORTS:
-        return _usage_error(
-            f"unknown report {args.report!r} (choose from {', '.join(ALL_REPORTS)} or 'all')"
+        return _fail(
+            f"unknown report {args.report!r} (choose from {', '.join(ALL_REPORTS)} or 'all')",
+            EXIT_USAGE,
         )
+    workspace = store.Workspace(args.workspace)
     commands = {"ingest": cmd_ingest, "map": cmd_map, "report": cmd_report}
-    return commands[args.command](_config_from_args(args))
+    try:
+        summary = commands[args.command](args, workspace)
+    except (CommandError, store.WorkspaceLocked, OSError) as exc:
+        return _fail(str(exc))
+    _emit({**summary, "workspace": str(workspace.root)})
+    return EXIT_OK
 
 
 def entrypoint() -> None:

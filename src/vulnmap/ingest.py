@@ -19,7 +19,6 @@ SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}$")
 _DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 _WHITESPACE = re.compile(r"\s*")
-_ARRAY_SEPARATORS = re.compile(r"[\s,]*")
 # Characters per read of a CVE dump file. Larger reads cut fewer entries
 # off but hold more text: with 64 KiB reads a small-entry NDJSON load
 # peaked at 0.33 MB traced, against 0.05 MB with these.
@@ -240,7 +239,6 @@ def _read_csv(
 
 def load_packages(
     source: Iterable[str],
-    column_map: dict[str, str] | None = None,
     rejects: RejectSink | None = None,
     platform_aliases: dict[str, str] | None = None,
 ) -> Iterator[PackageRecord]:
@@ -253,7 +251,7 @@ def load_packages(
     """
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
     positions, rows, reject = _read_csv(
-        source, {**DEFAULT_PACKAGE_COLUMNS, **(column_map or {})}, "packages", rejects,
+        source, DEFAULT_PACKAGE_COLUMNS, "packages", rejects,
         optional=frozenset({"keywords", "license"}),
     )
     for row_number, row in rows:
@@ -284,15 +282,12 @@ def load_packages(
 
 def load_versions(
     source: Iterable[str],
-    column_map: dict[str, str] | None = None,
     rejects: RejectSink | None = None,
     platform_aliases: dict[str, str] | None = None,
 ) -> Iterator[VersionRecord]:
     """Stream VersionRecords out of a published-versions CSV."""
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
-    positions, rows, reject = _read_csv(
-        source, {**DEFAULT_VERSION_COLUMNS, **(column_map or {})}, "versions", rejects
-    )
+    positions, rows, reject = _read_csv(source, DEFAULT_VERSION_COLUMNS, "versions", rejects)
     for row_number, row in rows:
         published = parse_date(row[positions["published"]])
         if published is None:
@@ -311,7 +306,7 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
     """Yield the top-level values of a JSON array of objects or of NDJSON.
 
     A first non-space "[" selects the array layout: its items must be
-    objects, separated by "," or whitespace, and a "]" followed only by
+    objects separated by single commas, and a "]" followed only by
     whitespace must end the input. A first "{" selects NDJSON:
     whitespace-separated values of any type. A file source is read
     ``_READ_CHARS`` at a time; any other iterable item by item. The buffer
@@ -326,7 +321,9 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
         chunks = iter(source)
     decode = json.JSONDecoder().raw_decode
     buf, pos, eof = "", 0, False
-    layout = None  # "[": in an array, "]": after it, "{": NDJSON
+    # None: before the first value; in an array, "[": after its "[", "}": after
+    # an entry, ",": after a comma; "]": after the array; "{": NDJSON.
+    layout = None
     count = 0
 
     def refill(want: int) -> None:
@@ -343,7 +340,7 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
         buf, pos = "".join(parts), 0
 
     while True:
-        pos = (_ARRAY_SEPARATORS if layout == "[" else _WHITESPACE).match(buf, pos).end()
+        pos = _WHITESPACE.match(buf, pos).end()
         if pos == len(buf):
             if eof:
                 break
@@ -359,10 +356,15 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
                 continue
         elif layout == "]":
             raise JsonStructure(f"unexpected {first!r} after the end of the JSON array")
-        elif layout == "[" and first == "]":
+        elif layout in ("[", "}") and first == "]":
             layout, pos = "]", pos + 1
             continue
-        elif layout == "[" and first != "{":
+        elif layout == "}":
+            if first != ",":
+                raise JsonStructure(f"expected ',' or ']' after entry {count}, found {first!r}")
+            layout, pos = ",", pos + 1
+            continue
+        elif layout in ("[", ",") and first != "{":
             raise JsonStructure(f"expected object in array, found {first!r}")
         try:
             value, end = decode(buf, pos)
@@ -377,10 +379,12 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
             continue
         count += 1
         pos = end
+        if layout != "{":
+            layout = "}"
         yield value
     if layout is None:
         raise JsonStructure("empty input: no JSON array or objects found")
-    if layout == "[":
+    if layout in ("[", "}", ","):
         raise JsonStructure(f"truncated JSON array: no closing ']' after entry {count}")
 
 

@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from vulnmap.cli import ALL_REPORTS, main
 from vulnmap.store import Workspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 PACKAGES = str(FIXTURES / "packages_small.csv")
 CVES = str(FIXTURES / "cves_small.ndjson")
 GOLDEN_SHARE = FIXTURES / "golden_platform_share.csv"
@@ -309,6 +311,41 @@ def test_lock_file_blocks_second_writer(tmp_path, capsys):
     assert not (ws / "packages.ndjson").exists()
 
 
+@pytest.mark.parametrize("argv, produced", [
+    (["map"], "mappings_*"),
+    (["report", "--report", "platform-share"], "report_*"),
+], ids=["map", "report"])
+def test_lock_blocks_map_and_report(tmp_path, capsys, argv, produced):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    with Workspace(ws).lock():
+        code, _, err = run(capsys, *argv, "--workspace", str(ws))
+    assert code == 1
+    assert "locked" in err
+    assert not list(ws.glob(produced))
+
+
+def test_workspace_that_is_a_file_is_an_error(tmp_path, capsys):
+    ws = tmp_path / "some_file"
+    ws.write_text("", encoding="utf-8")
+    code, out, err = ingest(capsys, ws)
+    assert code == 1
+    assert err.startswith("vulnmap: error:")
+    assert str(ws) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--lookup", "--cve-fields", "--versions"])
+def test_ingest_unreadable_input_names_flag_and_path(tmp_path, capsys, flag):
+    for bad in (tmp_path / "missing.json", tmp_path):  # absent, and a directory
+        code, _, err = ingest(capsys, tmp_path / "ws", PACKAGES, CVES, flag, str(bad))
+        assert code == 1
+        assert flag in err
+        assert str(bad) in err
+        assert not (tmp_path / "ws").exists()
+
+
 def test_custom_lookup_file(tmp_path, capsys):
     ws = tmp_path / "ws"
     lookup = tmp_path / "lookup.json"
@@ -372,3 +409,40 @@ def test_malformed_lookup_file_is_rejected(tmp_path, capsys):
     assert err.startswith("vulnmap: error: invalid lookup config")
     assert '"platforms" must map each platform to an object' in err
     assert not ws.exists()
+
+
+def test_map_rejects_malformed_lookup_file(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    lookup = tmp_path / "lookup.json"
+    lookup.write_text(json.dumps({"platforms": {"NPM": ["npm"]}}), encoding="utf-8")
+    code, _, err = run(capsys, "map", "--workspace", str(ws), "--lookup", str(lookup))
+    assert code == 1
+    assert err.startswith("vulnmap: error: invalid lookup config")
+    assert not list(ws.glob("mappings_*"))
+
+
+def _readme_flags() -> set[tuple[str, str]]:
+    """(command, flag) pairs of the README flags table; "all" names every command."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| flag | commands | meaning |"):].split("\n\n", 1)[0]
+    pairs = set()
+    for row in table.splitlines()[2:]:
+        flags_cell, commands_cell = row.split(" | ")[:2]
+        commands = ("ingest", "map", "report") if commands_cell == "all" else (
+            commands_cell.split(", "))
+        pairs |= {(c, f) for c in commands for f in re.findall(r"--[a-z][a-z-]*", flags_cell)}
+    return pairs
+
+
+def test_readme_flags_table_matches_parser(capsys):
+    parser_flags = set()
+    for command in ("ingest", "map", "report"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        parser_flags |= {(command, f) for f in re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text)}
+    parser_flags -= {(c, "--help") for c in ("ingest", "map", "report")}
+    readme_flags = _readme_flags()
+    assert parser_flags - readme_flags == set(), "flags missing from the README table"
+    assert readme_flags - parser_flags == set(), "README flags the parser does not have"

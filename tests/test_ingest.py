@@ -226,14 +226,22 @@ def test_document_level_json_error_aborts():
     with pytest.raises(JsonStructure):
         list(load_cves(io.StringIO("")))
     # "]" must end the array: a dump cut off between entries, or anything
-    # but whitespace after the "]", is not a shorter dump.
+    # but whitespace after the "]", is not a shorter dump. Entries are
+    # separated by exactly one comma.
     for text in (
         '[{"id": "CVE-2020-1000"}, {"id": "CVE-2020-1001"}',
         '[{"id": "CVE-2020-1000"}] {"id": "CVE-2020-1001"}',
         '[{"id": "CVE-2020-1000"}]]',
+        '[{"id": "CVE-2020-1000"} {"id": "CVE-2020-1001"}]',
+        '[{"id": "CVE-2020-1000"},,{"id": "CVE-2020-1001"}]',
+        '[{"id": "CVE-2020-1000"},]',
+        '[,{"id": "CVE-2020-1000"}]',
+        '[,]',
     ):
         with pytest.raises(JsonStructure):
             list(load_cves(io.StringIO(text)))
+    for text in ("[]", "[ ]"):
+        assert list(load_cves(io.StringIO(text))) == []
     # A malformed entry after more than one read of valid entries.
     valid = [
         {"id": f"CVE-2020-{1000 + i}", "summary": "s" * 100}

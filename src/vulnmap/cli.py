@@ -153,12 +153,13 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
 
     rejects: list[dict] = []
     tallies: dict = {}
-    with workspace.lock():
+    # Every store file is written to .staging and moved in only once all inputs have loaded.
+    with workspace.lock(), workspace.staging() as stage:
         try:
             with ing.open_text_auto(args.packages) as src:
                 records = ing.load_packages(src, rejects=rejects.append, platform_aliases=aliases)
-                package_count = workspace.write_ndjson(
-                    workspace.packages_path, (store.package_to_dict(p) for p in records)
+                package_count = stage.write_ndjson(
+                    stage.packages_path, (store.package_to_dict(p) for p in records)
                 )
             version_count = 0
             if args.versions is not None:
@@ -166,24 +167,24 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
                     records = ing.load_versions(
                         src, rejects=rejects.append, platform_aliases=aliases
                     )
-                    version_count = workspace.write_ndjson(
-                        workspace.versions_path, (store.version_to_dict(v) for v in records)
+                    version_count = stage.write_ndjson(
+                        stage.versions_path, (store.version_to_dict(v) for v in records)
                     )
             else:
-                workspace.write_ndjson(workspace.versions_path, ())
+                stage.write_ndjson(stage.versions_path, ())
             with ing.open_text_auto(args.cves) as src:
                 records = ing.load_cves(
                     src, field_map=field_map, rejects=rejects.append, tallies=tallies
                 )
-                cve_count = workspace.write_ndjson(
-                    workspace.cves_path, (store.cve_to_dict(c) for c in records)
+                cve_count = stage.write_ndjson(
+                    stage.cves_path, (store.cve_to_dict(c) for c in records)
                 )
         except (ing.CsvStructure, ing.JsonStructure) as exc:
             raise CommandError(str(exc)) from None
         except OSError as exc:
             raise CommandError(f"cannot read input: {exc}") from None
 
-        workspace.write_ndjson(workspace.rejects_path, rejects)
+        stage.write_ndjson(stage.rejects_path, rejects)
         reject_counts: dict[str, int] = {}
         for entry in rejects:
             reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
@@ -201,7 +202,7 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             "malformed_cpes": tallies.get("malformed_cpes", 0),
             "inputs": inputs,
         }
-        workspace.write_summary(summary)
+        stage.write_summary(summary)
     return summary
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import enum
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib.resources import files as resource_files
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .fuzzy import best_match
 from .ingest import (
@@ -300,6 +302,38 @@ def strict_name_map(
     return _run_per_cve(per_cve, cves, tallies)
 
 
+def _haystack(pool: list[PackageRecord]) -> tuple[str, list[int]]:
+    """One text of each package's name and keywords, each followed by "\\0", in source order.
+
+    Returns the text and the start offset of each package in it, followed by
+    the text's length.
+    """
+    segments = ["\0".join((pkg.name, *pkg.keywords)) + "\0" for pkg in pool]
+    return "".join(segments), list(accumulate(map(len, segments), initial=0))
+
+
+def _candidates(
+    pool: list[PackageRecord], text: str, starts: list[int], product: str
+) -> Iterator[PackageRecord]:
+    """Packages of ``pool`` whose name or a keyword contains ``product``, in source order.
+
+    ``text`` and ``starts`` are ``_haystack(pool)``. Each hit in the text is
+    confirmed with the exact test, so a hit across a separator or a package
+    boundary is skipped; after a confirmed hit the search resumes at the next
+    package.
+    """
+    end = len(text)
+    pos = text.find(product)
+    while -1 < pos < end:
+        i = bisect_right(starts, pos) - 1
+        pkg = pool[i]
+        if product in pkg.name or any(product in kw for kw in pkg.keywords):
+            yield pkg
+            pos = text.find(product, starts[i + 1])
+        else:
+            pos = text.find(product, pos + 1)
+
+
 def partial_fuzzy_map(
     packages: list[PackageRecord],
     cves: list[CveRecord],
@@ -318,6 +352,8 @@ def partial_fuzzy_map(
     by_platform: dict[str, list[PackageRecord]] = {}
     for pkg in packages:
         by_platform.setdefault(pkg.platform, []).append(pkg)
+    # Built on the first CVE that infers the platform, kept for the rest of the call.
+    haystacks: dict[str, tuple[str, list[int]]] = {}
     if tallies is not None:
         tallies["ambiguous_platform"] = 0
 
@@ -330,14 +366,16 @@ def partial_fuzzy_map(
         if not products:
             return None
         pool = by_platform.get(platform, [])
+        if platform not in haystacks:
+            haystacks[platform] = _haystack(pool)
+        text, starts = haystacks[platform]
         out: list[MappingResult] = []
         seen: set[str] = set()
         for product in products:
             # First package in source order claims a shared (platform, name).
             names: dict[str, str] = {}
-            for pkg in pool:
-                if product in pkg.name or any(product in kw for kw in pkg.keywords):
-                    names.setdefault(pkg.name, pkg.package_key)
+            for pkg in _candidates(pool, text, starts, product):
+                names.setdefault(pkg.name, pkg.package_key)
             if not names:
                 continue
             chosen = best_match(product, sorted(names), cutoff)

@@ -11,6 +11,8 @@ import contextlib
 import fcntl
 import hashlib
 import json
+import os
+import shutil
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -20,6 +22,7 @@ from .ingest import CveRecord, PackageRecord, RepoRef, VersionRecord
 from .match import Evidence, MappingResult, Strategy
 
 LOCK_NAME = ".lock"
+STAGING_NAME = ".staging"
 
 
 class WorkspaceLocked(RuntimeError):
@@ -230,6 +233,26 @@ class Workspace:
                     f"workspace {self.root} is locked by another command"
                 ) from None
             yield
+
+    @contextlib.contextmanager
+    def staging(self) -> Iterator["Workspace"]:
+        """Yield an empty workspace in ``.staging``; commit its files when the block ends.
+
+        On a normal exit each staged file replaces the file of the same name
+        here with ``os.replace``, ``summary.json`` last. On an exception the
+        staged files are discarded and no file here changes. Call it while
+        holding the lock.
+        """
+        stage = Workspace(self.root / STAGING_NAME)
+        shutil.rmtree(stage.root, ignore_errors=True)  # left by a killed command
+        stage.ensure()
+        try:
+            yield stage
+            summary_name = stage.summary_path.name
+            for path in sorted(stage.root.iterdir(), key=lambda p: p.name == summary_name):
+                os.replace(path, self.root / path.name)
+        finally:
+            shutil.rmtree(stage.root, ignore_errors=True)
 
     # -- ndjson -----------------------------------------------------------
 

@@ -88,6 +88,21 @@ def test_ingest_malformed_json_document_exits_1(tmp_path, capsys):
     assert "JSON" in err or "entry" in err
 
 
+def test_failed_ingest_leaves_the_store_unchanged(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    entries = Path(CVES).read_text(encoding="utf-8").split("\n")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text("[" + ",".join(e for e in entries if e.strip()), encoding="utf-8")
+    # The packages and versions load before the CVE array turns out to be cut off.
+    code, _, err = ingest(capsys, ws, str(FIXTURES / "packages_oracle.csv"), str(truncated))
+    assert code == 1
+    assert "truncated JSON array" in err
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+
+
 def test_ingest_accepts_gzip(tmp_path, capsys):
     gz = tmp_path / "packages.csv.gz"
     gz.write_bytes(gzip.compress(Path(PACKAGES).read_bytes()))

@@ -1,6 +1,7 @@
 import json
 import random
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,14 @@ from helpers import (
 )
 from vulnmap.cpe import parse_cpe23
 from vulnmap.fuzzy import similarity
-from vulnmap.ingest import CveRecord, PackageRecord, extract_repo_ref
+from vulnmap.ingest import (
+    CveRecord,
+    PackageRecord,
+    extract_repo_ref,
+    load_cves,
+    load_packages,
+    open_text_auto,
+)
 from vulnmap.match import (
     FUZZY_SCORE,
     PRODUCT_NAME_EQUAL,
@@ -21,6 +29,8 @@ from vulnmap.match import (
     SUMMARY_KEYWORD,
     PlatformLookup,
     Strategy,
+    _candidates,
+    _haystack,
     default_lookup_config,
     extract_reference_links,
     infer_platform,
@@ -32,6 +42,7 @@ from vulnmap.match import (
 )
 
 LOOKUP = default_lookup_config().lookup
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def mk_pkg(key, platform, name, keywords=(), repo_url="", license=""):
@@ -206,6 +217,114 @@ def test_fuzzy_shared_name_goes_to_first_source_package():
     cves = [mk_cve("CVE-2019-0024", summary="npm package react", products=[("react", "*")])]
     results = partial_fuzzy_map(packages, cves, LOOKUP)
     assert [r.package_key for r in results] == ["p9"]
+
+
+def scan_candidates(pool, product):
+    return [p for p in pool if product in p.name or any(product in kw for kw in p.keywords)]
+
+
+def search_candidates(pool, product):
+    return list(_candidates(pool, *_haystack(pool), product))
+
+
+CANDIDATE_CASES = {
+    "whole-name": ([("a", "lodash"), ("b", "lodash-x"), ("c", "lodas")], "lodash"),
+    "keyword-only": ([("a", "kit", "util", "lodash"), ("b", "dash")], "lodash"),
+    "no-keywords": ([("a", "ab"), ("b", "cd", "ab"), ("c", "xab")], "ab"),
+    "across-name-keyword": ([("a", "ab", "cd")], "bc"),
+    "across-name-keyword-nul": ([("a", "ab", "cd")], "b\0c"),
+    "across-packages-nul": ([("a", "ab"), ("b", "cd")], "b\0c"),
+    "nul-alone": ([("a", "ab", "cd"), ("b", "x\0y"), ("c", "e", "f\0")], "\0"),
+    "nul-in-name": ([("a", "x"), ("b", "x\0y", "z")], "x\0y"),
+    "non-ascii": ([("a", "café"), ("b", "naïve", "ü"), ("c", "日本語"), ("d", "x😀ü")], "ü"),
+    "wide-non-ascii": ([("a", "日本語"), ("b", "本", "😀日本")], "日本"),
+    "last-package": ([("a", "aa"), ("b", "bb", "cc", "xyz")], "yz"),
+    "empty-pool": ([], "a"),
+    "shared-name-keyword-first": (
+        [("a", "ui-kit"), ("b", "ui-kit", "react"), ("c", "react-ui-kit")], "react"),
+}
+
+
+@pytest.mark.parametrize("case", CANDIDATE_CASES, ids=list(CANDIDATE_CASES))
+def test_candidate_search_equals_scan(case):
+    rows, product = CANDIDATE_CASES[case]
+    pool = [mk_pkg(key, "NPM", name, keywords) for key, name, *keywords in rows]
+    assert search_candidates(pool, product) == scan_candidates(pool, product)
+
+
+def test_candidate_search_equals_scan_on_random_pools():
+    # A four-letter alphabet, "\0" and non-ASCII included, so that 1-2
+    # character products hit often, and across separators too.
+    rng = random.Random(4242)
+    alphabet = "ab\0é"
+    products = [*alphabet, *(x + y for x in alphabet for y in alphabet), "ab\0", "\0é\0"]
+
+    def word(low):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(low, 4)))
+
+    for _ in range(300):
+        pool = [
+            mk_pkg(f"k{i}", "NPM", word(1), [word(0) for _ in range(rng.randint(0, 3))])
+            for i in range(rng.randint(0, 12))
+        ]
+        text, starts = _haystack(pool)
+        for product in products:
+            assert list(_candidates(pool, text, starts, product)) == scan_candidates(pool, product)
+
+
+def test_fuzzy_equals_oracle_on_small_alphabet_corpora():
+    rng = random.Random(99)
+    alphabet = "abc"
+
+    def word(low):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(low, 4)))
+
+    mapped = 0
+    for _ in range(60):
+        packages = [
+            mk_pkg(f"k{i}", rng.choice(("NPM", "Pypi")), word(1),
+                   [word(0) for _ in range(rng.randint(0, 2))])
+            for i in range(rng.randint(0, 25))
+        ]
+        cves = [
+            mk_cve(f"CVE-2020-{1000 + n}", summary=rng.choice(("npm", "pypi", "maven", "none")),
+                   products=[(word(1), "*") for _ in range(rng.randint(1, 3))])
+            for n in range(10)
+        ]
+        got = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, LOOKUP, 0.3)}
+        assert got == oracle_fuzzy(packages, cves, LOOKUP, 0.3)
+        mapped += len(got)
+    assert mapped
+
+
+def test_fuzzy_empty_pool_and_keyword_claimed_shared_name():
+    packages = [
+        mk_pkg("p1", "NPM", "ui-kit"),
+        mk_pkg("p2", "NPM", "ui-kit", keywords=("react",)),
+    ]
+    cves = [
+        mk_cve("CVE-2019-0030", summary="npm advisory", products=[("react", "*")]),
+        mk_cve("CVE-2019-0031", summary="a maven artifact", products=[("react", "*")]),
+    ]
+    results = partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.0)
+    assert [(r.cve_id, r.package_key) for r in results] == [("CVE-2019-0030", "p2")]
+
+
+@pytest.mark.parametrize("workload", ["fuzzy-pool", "fuzzy-score"])
+def test_fuzzy_equals_oracle_on_bench_inputs(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    from run import WORKLOADS
+
+    corpus = gen.generate(workload, WORKLOADS[workload], 1, tmp_path)
+    config = default_lookup_config()
+    with open_text_auto(corpus.packages_path) as src:
+        packages = list(load_packages(src, platform_aliases=config.platform_aliases))
+    with open_text_auto(corpus.cves_path) as src:
+        cves = list(load_cves(src))
+    got = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, config.lookup, 0.3)}
+    assert got
+    assert got == oracle_fuzzy(packages, cves, config.lookup, 0.3)
 
 
 # -- reference links -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """The benchmark's tracer still sees every layer of a traced pipeline.
 
 ``perfbench/tracer.py`` wraps module attributes after importing the CLI, so
-these checks fail if the CLI captures a report function or a store loader
-at import time instead of looking it up when it calls it.
+these checks fail if the CLI captures a report function or a store loader,
+or ``vulnmap.match`` captures ``best_match``, at import time instead of
+looking it up when it calls it.
 """
 
 import json
@@ -40,3 +41,13 @@ def test_traced_report_spans_every_report_and_loads_packages_once(tmp_path, monk
     spans = {span["name"] for span in trace["spans"]}
     assert {f"report.{name}" for name in (*REPORT_FUNCTIONS, "export_report")} <= spans
     assert trace["counts"]["store.load_packages"] == 1
+
+
+def test_traced_map_times_fuzzy_scoring(tmp_path):
+    ws = str(tmp_path / "ws")
+    traced(tmp_path, "ingest", "--workspace", ws,
+           "--packages", str(FIXTURES / "packages_small.csv"),
+           "--cves", str(FIXTURES / "cves_small.ndjson"))
+    trace = traced(tmp_path, "map", "--workspace", ws)
+    assert "match.fuzzy" in {span["name"] for span in trace["spans"]}
+    assert trace["counts"].get("fuzzy.best_match", 0) >= 1

@@ -68,8 +68,15 @@ def _fail(message: str, code: int = EXIT_ERROR) -> int:
     return code
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+def _emit(obj: dict) -> int:
+    try:
+        print(json.dumps(obj, ensure_ascii=False, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # The reader has gone; point stdout at devnull so the flush at exit
+        # cannot raise again (see the SIGPIPE note in the ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return EXIT_OK
 
 
 def _cutoff_arg(text: str) -> float:
@@ -154,55 +161,61 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     rejects: list[dict] = []
     tallies: dict = {}
     # Every store file is written to .staging and moved in only once all inputs have loaded.
-    with workspace.lock(), workspace.staging() as stage:
-        try:
-            with ing.open_text_auto(args.packages) as src:
-                records = ing.load_packages(src, rejects=rejects.append, platform_aliases=aliases)
-                package_count = stage.write_ndjson(
-                    stage.packages_path, (store.package_to_dict(p) for p in records)
-                )
-            version_count = 0
-            if args.versions is not None:
-                with ing.open_text_auto(args.versions) as src:
-                    records = ing.load_versions(
+    with workspace.lock():
+        with workspace.staging() as stage:
+            try:
+                with ing.open_text_auto(args.packages) as src:
+                    records = ing.load_packages(
                         src, rejects=rejects.append, platform_aliases=aliases
                     )
-                    version_count = stage.write_ndjson(
-                        stage.versions_path, (store.version_to_dict(v) for v in records)
+                    package_count = stage.write_ndjson(
+                        stage.packages_path, (store.package_to_dict(p) for p in records)
                     )
-            else:
-                stage.write_ndjson(stage.versions_path, ())
-            with ing.open_text_auto(args.cves) as src:
-                records = ing.load_cves(
-                    src, field_map=field_map, rejects=rejects.append, tallies=tallies
-                )
-                cve_count = stage.write_ndjson(
-                    stage.cves_path, (store.cve_to_dict(c) for c in records)
-                )
-        except (ing.CsvStructure, ing.JsonStructure) as exc:
-            raise CommandError(str(exc)) from None
-        except OSError as exc:
-            raise CommandError(f"cannot read input: {exc}") from None
+                version_count = 0
+                if args.versions is not None:
+                    with ing.open_text_auto(args.versions) as src:
+                        records = ing.load_versions(
+                            src, rejects=rejects.append, platform_aliases=aliases
+                        )
+                        version_count = stage.write_ndjson(
+                            stage.versions_path, (store.version_to_dict(v) for v in records)
+                        )
+                else:
+                    stage.write_ndjson(stage.versions_path, ())
+                with ing.open_text_auto(args.cves) as src:
+                    records = ing.load_cves(
+                        src, field_map=field_map, rejects=rejects.append, tallies=tallies
+                    )
+                    cve_count = stage.write_ndjson(
+                        stage.cves_path, (store.cve_to_dict(c) for c in records)
+                    )
+            except (ing.CsvStructure, ing.JsonStructure) as exc:
+                raise CommandError(str(exc)) from None
+            except OSError as exc:
+                raise CommandError(f"cannot read input: {exc}") from None
 
-        stage.write_ndjson(stage.rejects_path, rejects)
-        reject_counts: dict[str, int] = {}
-        for entry in rejects:
-            reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
+            stage.write_ndjson(stage.rejects_path, rejects)
+            reject_counts: dict[str, int] = {}
+            for entry in rejects:
+                reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
 
-        inputs = {"packages": {"sha256": store.sha256_file(args.packages)}}
-        if args.versions is not None:
-            inputs["versions"] = {"sha256": store.sha256_file(args.versions)}
-        inputs["cves"] = {"sha256": store.sha256_file(args.cves)}
+            inputs = {"packages": {"sha256": store.sha256_file(args.packages)}}
+            if args.versions is not None:
+                inputs["versions"] = {"sha256": store.sha256_file(args.versions)}
+            inputs["cves"] = {"sha256": store.sha256_file(args.cves)}
 
-        summary = {
-            "packages": package_count,
-            "versions": version_count,
-            "cves": cve_count,
-            "rejects": {"total": len(rejects), **reject_counts},
-            "malformed_cpes": tallies.get("malformed_cpes", 0),
-            "inputs": inputs,
-        }
-        stage.write_summary(summary)
+            summary = {
+                "packages": package_count,
+                "versions": version_count,
+                "cves": cve_count,
+                "rejects": {"total": len(rejects), **reject_counts},
+                "malformed_cpes": tallies.get("malformed_cpes", 0),
+                "inputs": inputs,
+            }
+            stage.write_summary(summary)
+        # Only once the new store is in: the old mappings name the old store's packages.
+        for key in STRATEGY_KEYS:
+            workspace.mappings_path(key).unlink(missing_ok=True)
     return summary
 
 
@@ -222,11 +235,13 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             strategies=_selected_strategies(args.strategy, args.mode),
             go_last_segment=args.go_last_segment,
         )
-        for strategy_key, results in outcome.results.items():
-            workspace.write_ndjson(
-                workspace.mappings_path(strategy_key),
-                (store.mapping_to_dict(r) for r in results),
-            )
+        # Mapping files are written to .staging and moved in only once all are written.
+        with workspace.staging() as stage:
+            for strategy_key, results in outcome.results.items():
+                stage.write_ndjson(
+                    stage.mappings_path(strategy_key),
+                    (store.mapping_to_dict(r) for r in results),
+                )
     return {
         "tallies": outcome.tallies,
         "results": {k: len(v) for k, v in outcome.results.items()},
@@ -327,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         summary = commands[args.command](args, workspace)
     except (CommandError, store.WorkspaceLocked, OSError) as exc:
         return _fail(str(exc))
-    _emit({**summary, "workspace": str(workspace.root)})
-    return EXIT_OK
+    return _emit({**summary, "workspace": str(workspace.root)})
 
 
 def entrypoint() -> None:

@@ -63,11 +63,7 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _cosine(a: str, b: str, gram_size: int) -> float:
-    pa = gram_profile(a, gram_size)
-    pb = gram_profile(b, gram_size)
-    if not pa.grams or not pb.grams:
-        return 0.0
+def _cosine(pa: GramProfile, pb: GramProfile) -> float:
     small, large = (pa.grams, pb.grams) if len(pa.grams) <= len(pb.grams) else (pb.grams, pa.grams)
     dot = sum(count * large[gram] for gram, count in small.items())
     if dot == 0:
@@ -86,9 +82,9 @@ def similarity(a: str, b: str) -> float:
     nb = normalize(b)
     if not na or not nb:
         raise EmptyInput(f"cannot compare {a!r} and {b!r}")
-    cos = _cosine(na, nb, 3)
+    cos = _cosine(gram_profile(na, 3), gram_profile(nb, 3))
     if cos == 0.0:
-        cos = _cosine(na, nb, 2)
+        cos = _cosine(gram_profile(na, 2), gram_profile(nb, 2))
     edit = 1.0 - levenshtein(na, nb) / max(len(na), len(nb))
     return min(1.0, max(cos, edit, 0.0))
 
@@ -98,15 +94,42 @@ def best_match(
 ) -> tuple[str, float] | None:
     """Pick the candidate most similar to the query, if any clears the cutoff.
 
-    Ties are broken by shortest candidate, then lexicographic order.
+    Ties are broken by shortest candidate, then lexicographic order. Scores
+    equal ``similarity(query, cand)`` bit for bit, with the query normalized
+    and profiled once. The edit distance is at least the length difference,
+    so the edit similarity is at most ``bound = 1 - |len(nq) - len(nc)| /
+    max(len(nq), len(nc))``; IEEE division and subtraction are monotone, so
+    the floats obey it too. A candidate is skipped when ``max(cos, bound)``
+    is below the cutoff or strictly below the best score so far, since it
+    cannot be chosen, and ``levenshtein`` runs only when the bound exceeds
+    the cosine, since otherwise the score is the cosine.
     """
+    try:
+        pq = gram_profile(query, 3)
+    except EmptyInput:
+        return None
+    nq = pq.source
+    pq2: GramProfile | None = None
     best_key: tuple[float, int, str] | None = None
     best: tuple[str, float] | None = None
     for cand in candidates:
         try:
-            score = similarity(query, cand)
+            pc = gram_profile(cand, 3)
         except EmptyInput:
             continue
+        nc = pc.source
+        cos = _cosine(pq, pc)
+        if cos == 0.0:
+            if pq2 is None:
+                pq2 = gram_profile(nq, 2)
+            cos = _cosine(pq2, gram_profile(nc, 2))
+        longest = max(len(nq), len(nc))
+        bound = 1.0 - abs(len(nq) - len(nc)) / longest
+        upper = max(cos, bound)
+        if upper < cutoff or (best is not None and upper < best[1]):
+            continue
+        edit = bound if bound <= cos else 1.0 - levenshtein(nq, nc) / longest
+        score = min(1.0, max(cos, edit, 0.0))
         if score < cutoff:
             continue
         key = (-score, len(cand), cand)

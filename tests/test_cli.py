@@ -1,11 +1,16 @@
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import vulnmap
+from vulnmap import store
 from vulnmap.cli import ALL_REPORTS, main
 from vulnmap.store import Workspace
 
@@ -91,6 +96,7 @@ def test_ingest_malformed_json_document_exits_1(tmp_path, capsys):
 def test_failed_ingest_leaves_the_store_unchanged(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
     before = workspace_bytes(ws)
     entries = Path(CVES).read_text(encoding="utf-8").split("\n")
     truncated = tmp_path / "truncated.json"
@@ -101,6 +107,40 @@ def test_failed_ingest_leaves_the_store_unchanged(tmp_path, capsys):
     assert "truncated JSON array" in err
     assert workspace_bytes(ws) == before
     assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+
+
+def test_reingest_drops_the_previous_mappings(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    code, _, _ = ingest(
+        capsys, ws, str(FIXTURES / "packages_oracle.csv"), str(FIXTURES / "cves_oracle.ndjson")
+    )
+    assert code == 0
+    assert not list(ws.glob("mappings_*.ndjson"))
+    code, _, err = run(capsys, "report", "--workspace", str(ws), "--report", "vulnerable-packages")
+    assert code == 1
+    assert "vulnmap map" in err
+
+
+def test_ingest_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
+    ws = tmp_path / "ws"
+    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vulnmap", "ingest", "--workspace", str(ws),
+             "--packages", PACKAGES, "--cves", CVES],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert Workspace(ws).read_summary()["packages"] == 97
+    assert not (ws / ".staging").exists()
 
 
 def test_ingest_accepts_gzip(tmp_path, capsys):
@@ -148,6 +188,28 @@ def test_map_repository_without_mode_runs_both(tmp_path, capsys):
     run(capsys, "map", "--workspace", str(ws), "--strategy", "repository")
     produced = sorted(p.name for p in ws.glob("mappings_*.ndjson"))
     assert produced == ["mappings_repository_all.ndjson", "mappings_repository_first.ndjson"]
+
+
+def test_failed_map_leaves_the_mappings_unchanged(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    before = workspace_bytes(ws)
+    strict_rows = len((ws / "mappings_strict.ndjson").read_text(encoding="utf-8").splitlines())
+    to_dict = store.mapping_to_dict
+    calls = []
+
+    def failing_to_dict(result):
+        calls.append(result)
+        if len(calls) == strict_rows + 2:  # the strict file is whole, the fuzzy one half written
+            raise RuntimeError("writer failed")
+        return to_dict(result)
+
+    monkeypatch.setattr(store, "mapping_to_dict", failing_to_dict)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        main(["map", "--workspace", str(ws), "--cutoff", "0.9"])
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
 
 
 def test_map_rerun_is_byte_identical(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 import string
+from collections import Counter
 
 import pytest
 
@@ -183,3 +184,74 @@ def test_best_match_agrees_with_linear_scan_oracle():
                 best = (order, cand, score)
         expected = None if best is None else (best[1], best[2])
         assert got == expected
+
+
+def _ref_best_match(query: str, candidates: list[str], cutoff: float):
+    """The scoring loop best_match replaced: one full similarity per candidate."""
+    if not normalize(query):
+        return None
+    best = None
+    for cand in candidates:
+        if not normalize(cand):
+            continue
+        score = _ref_similarity(query, cand)
+        if score < cutoff:
+            continue
+        order = (-score, len(cand), cand)
+        if best is None or order < best[0]:
+            best = (order, cand, score)
+    return None if best is None else (best[1], best[2])
+
+
+def test_best_match_equals_reference_loop_bit_for_bit():
+    rng = random.Random(2024)
+
+    def word() -> str:
+        return "".join(rng.choice("abc-.") for _ in range(rng.randint(0, 9)))
+
+    seen = Counter()
+    for _ in range(4000):
+        query = word()
+        candidates = [word() for _ in range(rng.randint(0, 9))]
+        if candidates and rng.random() < 0.3:
+            candidates.append(rng.choice(candidates))
+        cutoff = rng.choice([0.0, 0.3, 1.0, -0.5])
+        got = best_match(query, candidates, cutoff)
+        expected = _ref_best_match(query, candidates, cutoff)
+        assert got == expected, (query, candidates, cutoff)
+        if got is not None:
+            assert got[1].hex() == expected[1].hex()
+            top = {c for c in candidates if normalize(c) and len(c) == len(got[0])
+                   and _ref_similarity(query, c) == got[1]}
+            seen["tie"] += len(top) > 1
+        seen["empty query"] += not normalize(query)
+        seen["empty candidate"] += any(not normalize(c) for c in candidates)
+        seen["duplicate"] += len(set(candidates)) < len(candidates)
+        seen[cutoff] += got is not None
+    for case in ("tie", "empty query", "empty candidate", "duplicate", 0.0, 0.3, 1.0, -0.5):
+        assert seen[case] > 0, case
+
+
+@pytest.mark.parametrize(
+    "query, candidates, calls",
+    [
+        # Every edit bound is at most 1 - 15/20 = 0.25, under the 0.3 cutoff;
+        # "preamble-of-something" comes first and shares one trigram: a cosine
+        # under its bound, so only the cutoff rules it out.
+        ("react", ["preamble-of-something", "create-react-app-cli", "reactive-streams-tools"], 0),
+        # After the exact match scores 1.0, "reactor" (bound 5/7) cannot win.
+        ("react", ["react", "reactor", "reactors"], 1),
+    ],
+)
+def test_best_match_skips_edit_distance_that_cannot_change_the_result(
+    monkeypatch, query, candidates, calls
+):
+    counted = []
+
+    def counting_levenshtein(a: str, b: str) -> int:
+        counted.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr("vulnmap.fuzzy.levenshtein", counting_levenshtein)
+    assert best_match(query, candidates, 0.3) == _ref_best_match(query, candidates, 0.3)
+    assert len(counted) == calls

@@ -61,6 +61,7 @@ REPORTS: dict[str, ReportSpec] = {
         needs=STRATEGY_KEYS),
 }
 ALL_REPORTS = tuple(REPORTS)
+REPORT_FORMATS = ("csv", "json")
 
 
 def _fail(message: str, code: int = EXIT_ERROR) -> int:
@@ -126,6 +127,11 @@ def _require_store(workspace: store.Workspace) -> None:
         raise CommandError(
             f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
         )
+    if workspace.read_summary().get("store_layout") != store.STORE_LAYOUT:
+        raise CommandError(
+            f"workspace {workspace.root} holds a store from another vulnmap version; "
+            "run 'vulnmap ingest' again"
+        )
 
 
 def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
@@ -168,27 +174,21 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
                     records = ing.load_packages(
                         src, rejects=rejects.append, platform_aliases=aliases
                     )
-                    package_count = stage.write_ndjson(
-                        stage.packages_path, (store.package_to_dict(p) for p in records)
-                    )
+                    package_count = stage.write_ndjson(stage.packages_path, records)
                 version_count = 0
                 if args.versions is not None:
                     with ing.open_text_auto(args.versions) as src:
                         records = ing.load_versions(
                             src, rejects=rejects.append, platform_aliases=aliases
                         )
-                        version_count = stage.write_ndjson(
-                            stage.versions_path, (store.version_to_dict(v) for v in records)
-                        )
+                        version_count = stage.write_ndjson(stage.versions_path, records)
                 else:
                     stage.write_ndjson(stage.versions_path, ())
                 with ing.open_text_auto(args.cves) as src:
                     records = ing.load_cves(
                         src, field_map=field_map, rejects=rejects.append, tallies=tallies
                     )
-                    cve_count = stage.write_ndjson(
-                        stage.cves_path, (store.cve_to_dict(c) for c in records)
-                    )
+                    cve_count = stage.write_ndjson(stage.cves_path, records)
             except (ing.CsvStructure, ing.JsonStructure) as exc:
                 raise CommandError(str(exc)) from None
             except OSError as exc:
@@ -211,11 +211,14 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
                 "rejects": {"total": len(rejects), **reject_counts},
                 "malformed_cpes": tallies.get("malformed_cpes", 0),
                 "inputs": inputs,
+                "store_layout": store.STORE_LAYOUT,
             }
             stage.write_summary(summary)
-        # Only once the new store is in: the old mappings name the old store's packages.
-        for key in STRATEGY_KEYS:
-            workspace.mappings_path(key).unlink(missing_ok=True)
+        # Only once the new store is in: the old mappings and reports describe the old store.
+        stale = [workspace.mappings_path(key) for key in STRATEGY_KEYS]
+        stale += [workspace.report_path(name, f) for name in ALL_REPORTS for f in REPORT_FORMATS]
+        for path in stale:
+            path.unlink(missing_ok=True)
     return summary
 
 
@@ -231,10 +234,10 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             cves,
             lookup,
             cutoff=args.cutoff,
-            malformed_cpes=summary.get("malformed_cpes", 0),
             strategies=_selected_strategies(args.strategy, args.mode),
             go_last_segment=args.go_last_segment,
         )
+        outcome.tallies["malformed_cpes"] = summary.get("malformed_cpes", 0)
         # Mapping files are written to .staging and moved in only once all are written.
         with workspace.staging() as stage:
             for strategy_key, results in outcome.results.items():
@@ -262,16 +265,17 @@ def cmd_report(args: argparse.Namespace, workspace: store.Workspace) -> dict:
                     f"{workspace.mappings_path(needs[0])}; run 'vulnmap map' first"
                 )
         kind = data = None
-        for name in names:
-            spec = REPORTS[name]
-            if spec.snapshot != kind:
-                data = None  # drop the previous snapshot before loading the next
-                kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](workspace)
-            report = spec.build(data, workspace, args.top_k)
-            report.metadata["inputs"] = summary.get("inputs", {})
-            path = workspace.report_path(name, args.format)
-            rep.export_report(report, args.format, path)
-            written.append(str(path))
+        # Reports are written to .staging and moved in only once all are written.
+        with workspace.staging() as stage:
+            for name in names:
+                spec = REPORTS[name]
+                if spec.snapshot != kind:
+                    data = None  # drop the previous snapshot before loading the next
+                    kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](workspace)
+                report = spec.build(data, workspace, args.top_k)
+                report.metadata["inputs"] = summary.get("inputs", {})
+                rep.export_report(report, args.format, stage.report_path(name, args.format))
+                written.append(str(workspace.report_path(name, args.format)))
     return {"written": written}
 
 
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_report)
     p_report.add_argument("--report", default="all",
                           help="report name or 'all' (names: %s)" % ", ".join(ALL_REPORTS))
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_report.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p_report.add_argument("--top-k", type=_positive_int, default=None)
 
     return parser

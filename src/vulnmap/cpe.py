@@ -4,23 +4,26 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-
-CPE23_PREFIX = "cpe:2.3:"
-ATTRIBUTE_COUNT = 11
+from typing import NamedTuple
 
 WILDCARD = "*"
 NOT_APPLICABLE = "-"
 
 # A backslash with the character it escapes when that is a backslash too.
 _BACKSLASHES = re.compile(r"\\\\?")
+# The formatted-string binding of NISTIR 7695: the prefix, the part, then ten
+# attributes separated by colons that no backslash escapes. Only the last
+# attribute can end in a lone backslash, since anywhere else it escapes a colon.
+_CPE23 = re.compile(
+    r"cpe:2\.3:([aoh*-])" + r":((?:[^\\:]|\\.)*)" * 9 + r":((?:[^\\:]|\\.)*\\?)", re.S
+)
 
 
 class MalformedCpe(ValueError):
     """The input is not a well-formed CPE 2.3 formatted string."""
 
 
-class Part(enum.Enum):
+class Part(str, enum.Enum):
     APPLICATION = "a"
     OPERATING_SYSTEM = "o"
     HARDWARE = "h"
@@ -28,8 +31,7 @@ class Part(enum.Enum):
     NOT_APPLICABLE = "-"
 
 
-@dataclass(frozen=True)
-class CpeRecord:
+class CpeRecord(NamedTuple):
     """The 11 logical attribute fields of a CPE 2.3 name, plus the source text.
 
     Attribute values are lowercased with escape sequences resolved; the
@@ -61,27 +63,6 @@ def normalize_component(raw: str) -> str:
     return _BACKSLASHES.sub("", raw.strip().lower()).strip()
 
 
-def _split_unescaped(s: str) -> list[str]:
-    """Split on ":" while honoring backslash escapes (escapes are kept)."""
-    parts: list[str] = []
-    current: list[str] = []
-    escaped = False
-    for ch in s:
-        if escaped:
-            current.append(ch)
-            escaped = False
-        elif ch == "\\":
-            current.append(ch)
-            escaped = True
-        elif ch == ":":
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def parse_cpe23(uri: str) -> CpeRecord:
     """Parse a CPE 2.3 formatted string into a CpeRecord.
 
@@ -90,19 +71,12 @@ def parse_cpe23(uri: str) -> CpeRecord:
     exactly 11 attribute fields, or when the part field is not one of
     ``a``, ``o``, ``h``, ``*``, ``-``.
     """
-    if not uri.startswith(CPE23_PREFIX):
-        raise MalformedCpe(f"not a cpe:2.3 formatted string: {uri!r}")
-    fields = _split_unescaped(uri[len(CPE23_PREFIX):])
-    if len(fields) != ATTRIBUTE_COUNT:
-        raise MalformedCpe(
-            f"expected {ATTRIBUTE_COUNT} attribute fields, got {len(fields)}: {uri!r}"
-        )
-    try:
-        part = Part(fields[0])
-    except ValueError:
-        raise MalformedCpe(f"invalid part value {fields[0]!r}: {uri!r}") from None
+    match = _CPE23.fullmatch(uri)
+    if match is None:
+        raise MalformedCpe(f"not a well-formed cpe:2.3 formatted string: {uri!r}")
+    part, *fields = match.groups()
     values = [
         f if f in (WILDCARD, NOT_APPLICABLE) else normalize_component(f)
-        for f in fields[1:]
+        for f in fields
     ]
-    return CpeRecord(part, *values, raw=uri)
+    return CpeRecord(Part(part), *values, uri)

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
 
 from .cpe import CpeRecord, MalformedCpe, normalize_component, parse_cpe23
@@ -60,8 +60,7 @@ class JsonStructure(ValueError):
     """Document-level JSON malformation that prevents further streaming."""
 
 
-@dataclass(frozen=True)
-class RepoRef:
+class RepoRef(NamedTuple):
     provider: str
     owner: str
     repository: str
@@ -71,8 +70,7 @@ class RepoRef:
         return f"{self.provider}/{self.owner}/{self.repository}"
 
 
-@dataclass(frozen=True)
-class PackageRecord:
+class PackageRecord(NamedTuple):
     package_key: str
     platform: str
     name: str
@@ -81,16 +79,14 @@ class PackageRecord:
     repo: RepoRef | None = None
 
 
-@dataclass(frozen=True)
-class VersionRecord:
+class VersionRecord(NamedTuple):
     package_key: str
     platform: str
     version_label: str
     published: date
 
 
-@dataclass(frozen=True)
-class CveRecord:
+class CveRecord(NamedTuple):
     cve_id: str
     summary: str
     references: tuple[str, ...]

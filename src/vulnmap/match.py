@@ -468,7 +468,6 @@ def run_all(
     cves: list[CveRecord],
     lookup: PlatformLookup,
     cutoff: float = 0.3,
-    malformed_cpes: int = 0,
     strategies: tuple[str, ...] = STRATEGY_KEYS,
     go_last_segment: bool = False,
 ) -> RunOutcome:
@@ -485,5 +484,4 @@ def run_all(
     for key in strategies:
         tallies[key] = {}
         results[key] = runners[key](tallies[key])
-    tallies["malformed_cpes"] = malformed_cpes
     return RunOutcome(results=results, tallies=tallies)

@@ -2,7 +2,8 @@
 
 Every artifact is newline-delimited JSON (or plain JSON for the summary)
 with a fixed field order, so identical inputs always produce byte-identical
-files.
+files. A store snapshot holds one JSON array per record, its fields in
+order; a mapping file holds one object per result.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .match import Evidence, MappingResult, Strategy
 
 LOCK_NAME = ".lock"
 STAGING_NAME = ".staging"
+# Recorded in summary.json; bump it when a store record's fields change.
+STORE_LAYOUT = 2
 
 
 class WorkspaceLocked(RuntimeError):
@@ -30,116 +33,8 @@ class WorkspaceLocked(RuntimeError):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
-
-
-def package_to_dict(pkg: PackageRecord) -> dict:
-    repo = None
-    if pkg.repo is not None:
-        repo = {
-            "provider": pkg.repo.provider,
-            "owner": pkg.repo.owner,
-            "repository": pkg.repo.repository,
-        }
-    return {
-        "key": pkg.package_key,
-        "platform": pkg.platform,
-        "name": pkg.name,
-        "keywords": list(pkg.keywords),
-        "license": pkg.license,
-        "repo": repo,
-    }
-
-
-def package_from_dict(doc: dict) -> PackageRecord:
-    repo = None
-    if doc.get("repo"):
-        repo = RepoRef(
-            provider=doc["repo"]["provider"],
-            owner=doc["repo"]["owner"],
-            repository=doc["repo"]["repository"],
-        )
-    return PackageRecord(
-        package_key=doc["key"],
-        platform=doc["platform"],
-        name=doc["name"],
-        keywords=tuple(doc.get("keywords", ())),
-        license=doc.get("license", ""),
-        repo=repo,
-    )
-
-
-def version_to_dict(version: VersionRecord) -> dict:
-    return {
-        "key": version.package_key,
-        "platform": version.platform,
-        "version": version.version_label,
-        "published": version.published.isoformat(),
-    }
-
-
-def version_from_dict(doc: dict) -> VersionRecord:
-    return VersionRecord(
-        package_key=doc["key"],
-        platform=doc["platform"],
-        version_label=doc["version"],
-        published=date.fromisoformat(doc["published"]),
-    )
-
-
-def cpe_to_dict(cpe: CpeRecord) -> dict:
-    return {
-        "part": cpe.part.value,
-        "vendor": cpe.vendor,
-        "product": cpe.product,
-        "version": cpe.version,
-        "update": cpe.update,
-        "edition": cpe.edition,
-        "language": cpe.language,
-        "sw_edition": cpe.sw_edition,
-        "target_sw": cpe.target_sw,
-        "target_hw": cpe.target_hw,
-        "other": cpe.other,
-        "raw": cpe.raw,
-    }
-
-
-def cpe_from_dict(doc: dict) -> CpeRecord:
-    return CpeRecord(
-        part=Part(doc["part"]),
-        vendor=doc["vendor"],
-        product=doc["product"],
-        version=doc["version"],
-        update=doc["update"],
-        edition=doc["edition"],
-        language=doc["language"],
-        sw_edition=doc["sw_edition"],
-        target_sw=doc["target_sw"],
-        target_hw=doc["target_hw"],
-        other=doc["other"],
-        raw=doc["raw"],
-    )
-
-
-def cve_to_dict(cve: CveRecord) -> dict:
-    return {
-        "id": cve.cve_id,
-        "summary": cve.summary,
-        "references": list(cve.references),
-        "published": None if cve.published is None else cve.published.isoformat(),
-        "cpes": [cpe_to_dict(c) for c in cve.cpes],
-    }
-
-
-def cve_from_dict(doc: dict) -> CveRecord:
-    published = doc.get("published")
-    return CveRecord(
-        cve_id=doc["id"],
-        summary=doc.get("summary", ""),
-        references=tuple(doc.get("references", ())),
-        published=None if published is None else date.fromisoformat(published),
-        cpes=tuple(cpe_from_dict(c) for c in doc.get("cpes", ())),
-    )
+    # A record (a NamedTuple) becomes the JSON array of its fields.
+    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "), default=date.isoformat)
 
 
 def mapping_to_dict(result: MappingResult) -> dict:
@@ -256,7 +151,7 @@ class Workspace:
 
     # -- ndjson -----------------------------------------------------------
 
-    def write_ndjson(self, path: Path, docs: Iterable[dict]) -> int:
+    def write_ndjson(self, path: Path, docs: Iterable) -> int:
         count = 0
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for doc in docs:
@@ -265,7 +160,7 @@ class Workspace:
                 count += 1
         return count
 
-    def read_ndjson(self, path: Path) -> Iterator[dict]:
+    def read_ndjson(self, path: Path) -> Iterator:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
@@ -274,15 +169,28 @@ class Workspace:
     # -- typed snapshots --------------------------------------------------
 
     def load_packages(self) -> list[PackageRecord]:
-        return [package_from_dict(d) for d in self.read_ndjson(self.packages_path)]
+        return [
+            PackageRecord(key, platform, name, tuple(keywords), license, repo and RepoRef(*repo))
+            for key, platform, name, keywords, license, repo in self.read_ndjson(self.packages_path)
+        ]
 
     def load_versions(self) -> list[VersionRecord]:
         if not self.versions_path.exists():
             return []
-        return [version_from_dict(d) for d in self.read_ndjson(self.versions_path)]
+        return [
+            VersionRecord(key, platform, label, date.fromisoformat(published))
+            for key, platform, label, published in self.read_ndjson(self.versions_path)
+        ]
 
     def load_cves(self) -> list[CveRecord]:
-        return [cve_from_dict(d) for d in self.read_ndjson(self.cves_path)]
+        return [
+            CveRecord(
+                cve_id, summary, tuple(references),
+                published and date.fromisoformat(published),
+                tuple(CpeRecord(Part(c[0]), *c[1:]) for c in cpes),
+            )
+            for cve_id, summary, references, published, cpes in self.read_ndjson(self.cves_path)
+        ]
 
     def load_mappings(self, strategy_key: str) -> list[MappingResult]:
         path = self.mappings_path(strategy_key)

@@ -177,6 +177,44 @@ def oracle_repository(packages, cves, mode) -> set[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# reference CPE 2.3 splitter
+# ---------------------------------------------------------------------------
+
+
+def reference_cpe23_fields(uri: str) -> list[str] | None:
+    """The 11 raw fields of a CPE 2.3 formatted string (escapes kept), or None.
+
+    A character loop, independent of the regular expression in vulnmap.cpe:
+    after the ``cpe:2.3:`` prefix, split on every colon that no backslash
+    escapes (a backslash escapes any next character, and a lone one at the
+    end stays in the last field). None unless that gives 11 fields whose
+    first is a valid part.
+    """
+    prefix = "cpe:2.3:"
+    if not uri.startswith(prefix):
+        return None
+    fields: list[str] = []
+    current: list[str] = []
+    escaped = False
+    for ch in uri[len(prefix):]:
+        if escaped:
+            current.append(ch)
+            escaped = False
+        elif ch == "\\":
+            current.append(ch)
+            escaped = True
+        elif ch == ":":
+            fields.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    fields.append("".join(current))
+    if len(fields) != 11 or fields[0] not in ("a", "o", "h", "*", "-"):
+        return None
+    return fields
+
+
+# ---------------------------------------------------------------------------
 # random corpora
 # ---------------------------------------------------------------------------
 

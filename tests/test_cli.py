@@ -113,14 +113,39 @@ def test_reingest_drops_the_previous_mappings(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert ingest(capsys, ws)[0] == 0
     assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    assert run(capsys, "report", "--workspace", str(ws))[0] == 0
+    assert run(capsys, "report", "--workspace", str(ws), "--format", "json")[0] == 0
+    assert len(list(ws.glob("report_*"))) == 2 * len(ALL_REPORTS)
     code, _, _ = ingest(
         capsys, ws, str(FIXTURES / "packages_oracle.csv"), str(FIXTURES / "cves_oracle.ndjson")
     )
     assert code == 0
     assert not list(ws.glob("mappings_*.ndjson"))
+    assert not list(ws.glob("report_*"))
     code, _, err = run(capsys, "report", "--workspace", str(ws), "--report", "vulnerable-packages")
     assert code == 1
     assert "vulnmap map" in err
+
+
+def test_store_from_another_version_must_be_ingested_again(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    # The object rows and the summary of a store written before the layout was recorded.
+    (ws / "packages.ndjson").write_text(
+        '{"key": "P001", "platform": "NPM", "name": "lodash", "keywords": [], '
+        '"license": "MIT", "repo": null}\n', encoding="utf-8")
+    summary = json.loads((ws / "summary.json").read_text(encoding="utf-8"))
+    del summary["store_layout"]
+    (ws / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    before = workspace_bytes(ws)
+    for argv in (["map"], ["report", "--report", "platform-share"]):
+        code, out, err = run(capsys, *argv, "--workspace", str(ws))
+        assert code == 1
+        assert err.startswith("vulnmap: error:")
+        assert "run 'vulnmap ingest' again" in err
+        assert "Traceback" not in err and out == ""
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
 
 
 def test_ingest_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
@@ -169,6 +194,7 @@ def test_map_all_strategies_writes_four_files(tmp_path, capsys):
     for key in ("strict", "fuzzy", "repository_all", "repository_first"):
         t = tallies[key]
         assert t["skipped"] + t["mapped"] + t["unmatched"] == t["total_cves"] == 50
+    assert tallies["malformed_cpes"] == 3  # as counted by ingest
     assert payload["results"]["strict"] >= 1  # the lodash and django entries map
 
 
@@ -265,6 +291,32 @@ def test_report_all_without_mappings_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert "map" in err
     assert not list(ws.glob("report_*"))
+
+
+def test_failed_report_leaves_the_reports_unchanged(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    run(capsys, "map", "--workspace", str(ws))
+    code, out, _ = run(capsys, "report", "--workspace", str(ws))
+    assert code == 0
+    assert json.loads(out)["written"] == [
+        str(ws / f"report_{name.replace('-', '_')}.csv") for name in ALL_REPORTS
+    ]
+    before = workspace_bytes(ws)
+    export = vulnmap.report.export_report
+    calls = []
+
+    def failing_export(report, format, sink):
+        calls.append(report)
+        if len(calls) == 4:  # three reports are written, with --top-k 1 unlike the old ones
+            raise RuntimeError("writer failed")
+        return export(report, format, sink)
+
+    monkeypatch.setattr(vulnmap.report, "export_report", failing_export)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        main(["report", "--workspace", str(ws), "--top-k", "1"])
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -433,8 +485,7 @@ def test_custom_lookup_file(tmp_path, capsys):
     code, out, _ = ingest(capsys, ws, PACKAGES, CVES, "--lookup", str(lookup))
     assert code == 0
     # Without the Rubygems alias the platform label stays as in the dump.
-    packages = [json.loads(line) for line in (ws / "packages.ndjson").read_text().splitlines()]
-    platforms = {p["platform"] for p in packages}
+    platforms = {p.platform for p in Workspace(ws).load_packages()}
     assert "Rubygems" in platforms and "Ruby" not in platforms
 
 

@@ -3,7 +3,8 @@ import string
 
 import pytest
 
-from vulnmap.cpe import MalformedCpe, Part, normalize_component, parse_cpe23
+from helpers import reference_cpe23_fields
+from vulnmap.cpe import CpeRecord, MalformedCpe, Part, normalize_component, parse_cpe23
 
 
 def test_parse_basic_fields():
@@ -134,3 +135,51 @@ def test_unescaped_colon_count_is_twelve():
             elif ch == ":":
                 unescaped += 1
         assert unescaped == 12
+
+
+# Escape-heavy and malformed CPE strings for the differential test below.
+EDGE_CPES = [
+    "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*\\",  # a lone backslash ends the last field
+    "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*\\\\",  # an escaped backslash
+    "cpe:2.3:a:v:p:1:*:*:*:*:*:*:\\:",  # an escaped colon is the last field
+    "cpe:2.3:a:v:p\\\n1:2:*:*:*:*:*:*:*",  # a backslash escapes a newline
+    "cpe:2.3:a:v:p\n1:2:*:*:*:*:*:*:*",
+    "cpe:2.3:a:v\u00e9:\u65e5\u672c\\\u00e9:1:*:*:*:*:*:*:\U0001f600",  # non-ASCII
+    "cpe:2.3:a:v:p:1:*:*:*:*:*:*",  # 10 fields
+    "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*:*",  # 12 fields
+    "cpe:2.3:x:v:p:1:*:*:*:*:*:*:*",
+    "cpe:2.3:A:v:p:1:*:*:*:*:*:*:*",
+    "cpe:2.3:\\a:v:p:1:*:*:*:*:*:*:*",
+    "cpe:/a:v:p:1",
+    "cpe:/a:v:p:1:*:*:*:*:*:*:*:*",
+    "CPE:2.3:a:v:p:1:*:*:*:*:*:*:*",
+    "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*\n",
+]
+_PIECES = ("a", "Z", "7", ".", " ", "*", "-", ":", "\\", "\\:", "\\\\", "\\\n", "\n",
+           "\u00e9", "\u65e5", "\U0001f600")
+
+
+def _messy_cpe(rng: random.Random) -> str:
+    prefix = rng.choice(("cpe:2.3:",) * 8 + ("cpe:/", "CPE:2.3:", "cpe:2.3"))
+    part = rng.choice(("a", "o", "h", "*", "-") * 4 + ("x", "A", "", "aa", "\\a"))
+    attributes = [
+        "".join(rng.choice(_PIECES) for _ in range(rng.choice((0, 1, 1, 2, 3))))
+        for _ in range(rng.choice((9, 10, 10, 10, 11)))
+    ]
+    trailing = "\\" if rng.random() < 0.2 else ""
+    return prefix + ":".join((part, *attributes)) + trailing
+
+
+def test_parser_agrees_with_reference_splitter():
+    rng = random.Random(7695)
+    accepted = 0
+    for uri in EDGE_CPES + [_messy_cpe(rng) for _ in range(20_000)]:
+        fields = reference_cpe23_fields(uri)
+        if fields is None:
+            with pytest.raises(MalformedCpe):
+                parse_cpe23(uri)
+            continue
+        accepted += 1
+        values = [f if f in ("*", "-") else normalize_component(f) for f in fields[1:]]
+        assert parse_cpe23(uri) == CpeRecord(Part(fields[0]), *values, uri)
+    assert 2_000 < accepted < 18_000  # both outcomes are well exercised

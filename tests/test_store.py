@@ -11,43 +11,40 @@ import pytest
 
 import vulnmap
 from test_match import mk_cve, mk_pkg
+from vulnmap.cpe import Part
 from vulnmap.ingest import VersionRecord, load_cves, load_packages
 from vulnmap.match import default_lookup_config, run_all
-from vulnmap.store import (
-    Workspace,
-    WorkspaceLocked,
-    cve_from_dict,
-    cve_to_dict,
-    mapping_from_dict,
-    mapping_to_dict,
-    package_from_dict,
-    package_to_dict,
-    version_from_dict,
-    version_to_dict,
-)
+from vulnmap.store import Workspace, WorkspaceLocked, mapping_from_dict, mapping_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_package_round_trip():
+def test_package_round_trip(tmp_path):
     with_repo = mk_pkg("p1", "NPM", "lodash", keywords=("a", "b"),
                        repo_url="https://github.com/lodash/lodash", license="MIT")
     without_repo = mk_pkg("p2", "Pypi", "requests")
-    for pkg in (with_repo, without_repo):
-        assert package_from_dict(package_to_dict(pkg)) == pkg
+    ws = Workspace(tmp_path).ensure()
+    ws.write_ndjson(ws.packages_path, (with_repo, without_repo))
+    assert ws.load_packages() == [with_repo, without_repo]
 
 
-def test_cve_round_trip():
+def test_cve_round_trip(tmp_path):
     dated = mk_cve("CVE-2019-0001", summary="s", refs=("https://x",),
                    products=[("lodash", "node.js"), ("foo\\:bar", "*")])
-    undated = dated.__class__(dated.cve_id, dated.summary, dated.references, None, dated.cpes)
-    for cve in (dated, undated):
-        assert cve_from_dict(cve_to_dict(cve)) == cve
+    undated = dated._replace(cve_id="CVE-2019-0002", published=None)
+    ws = Workspace(tmp_path).ensure()
+    ws.write_ndjson(ws.cves_path, (dated, undated))
+    loaded = ws.load_cves()
+    assert loaded == [dated, undated]
+    assert loaded[0].cpes[1].product == "foo:bar"
+    assert loaded[0].cpes[0].part is Part.APPLICATION
 
 
-def test_version_round_trip():
+def test_version_round_trip(tmp_path):
     version = VersionRecord("p1", "NPM", "1.0.0", date(2019, 2, 3))
-    assert version_from_dict(version_to_dict(version)) == version
+    ws = Workspace(tmp_path).ensure()
+    ws.write_ndjson(ws.versions_path, (version,))
+    assert ws.load_versions() == [version]
 
 
 def test_mapping_round_trip_all_strategies():
@@ -65,7 +62,7 @@ def test_mapping_round_trip_all_strategies():
 def test_workspace_snapshots(tmp_path):
     ws = Workspace(tmp_path / "ws").ensure()
     packages = [mk_pkg("p1", "NPM", "lodash"), mk_pkg("p2", "Pypi", "requests")]
-    count = ws.write_ndjson(ws.packages_path, (package_to_dict(p) for p in packages))
+    count = ws.write_ndjson(ws.packages_path, packages)
     assert count == 2
     assert ws.load_packages() == packages
     assert ws.load_versions() == []  # file absent
@@ -116,7 +113,7 @@ def test_lock_is_released_when_holder_is_killed(tmp_path):
 
 def test_ndjson_is_one_compact_line_per_record(tmp_path):
     ws = Workspace(tmp_path / "ws").ensure()
-    ws.write_ndjson(ws.packages_path, (package_to_dict(mk_pkg("p1", "NPM", "x")),))
+    ws.write_ndjson(ws.packages_path, (mk_pkg("p1", "NPM", "x"),))
     lines = ws.packages_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["name"] == "x"
+    assert json.loads(lines[0]) == ["p1", "NPM", "x", [], "", None]

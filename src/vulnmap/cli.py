@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from . import ingest as ing
 from . import report as rep
@@ -134,6 +135,16 @@ def _require_store(workspace: store.Workspace) -> None:
         )
 
 
+@contextlib.contextmanager
+def _open_input(flag: str, path: Path) -> Iterator[TextIO]:
+    """Open an input file; a read in the block that cannot decode it exits 1 naming the flag."""
+    try:
+        with ing.open_text_auto(path) as src:
+            yield src
+    except ing.INPUT_DECODE_ERRORS as exc:
+        raise CommandError(f"cannot read --{flag} input: {path}: {exc}") from None
+
+
 def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
     if strategy == "all":
         return STRATEGY_KEYS
@@ -170,21 +181,21 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     with workspace.lock():
         with workspace.staging() as stage:
             try:
-                with ing.open_text_auto(args.packages) as src:
+                with _open_input("packages", args.packages) as src:
                     records = ing.load_packages(
                         src, rejects=rejects.append, platform_aliases=aliases
                     )
                     package_count = stage.write_ndjson(stage.packages_path, records)
                 version_count = 0
                 if args.versions is not None:
-                    with ing.open_text_auto(args.versions) as src:
+                    with _open_input("versions", args.versions) as src:
                         records = ing.load_versions(
                             src, rejects=rejects.append, platform_aliases=aliases
                         )
                         version_count = stage.write_ndjson(stage.versions_path, records)
                 else:
                     stage.write_ndjson(stage.versions_path, ())
-                with ing.open_text_auto(args.cves) as src:
+                with _open_input("cves", args.cves) as src:
                     records = ing.load_cves(
                         src, field_map=field_map, rejects=rejects.append, tallies=tallies
                     )

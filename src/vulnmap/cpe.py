@@ -31,6 +31,9 @@ class Part(str, enum.Enum):
     NOT_APPLICABLE = "-"
 
 
+_PARTS = {part.value: part for part in Part}
+
+
 class CpeRecord(NamedTuple):
     """The 11 logical attribute fields of a CPE 2.3 name, plus the source text.
 
@@ -60,6 +63,9 @@ def normalize_component(raw: str) -> str:
     Backslashes themselves never survive into the output, which makes the
     function idempotent for every input.
     """
+    if "\\" not in raw:
+        # Nothing to resolve, and lowercasing puts no whitespace at either end.
+        return raw.strip().lower()
     return _BACKSLASHES.sub("", raw.strip().lower()).strip()
 
 
@@ -71,12 +77,20 @@ def parse_cpe23(uri: str) -> CpeRecord:
     exactly 11 attribute fields, or when the part field is not one of
     ``a``, ``o``, ``h``, ``*``, ``-``.
     """
-    match = _CPE23.fullmatch(uri)
-    if match is None:
+    if "\\" in uri:
+        match = _CPE23.fullmatch(uri)
+        fields = None if match is None else match.groups()
+    else:
+        # Without a backslash every colon separates two fields.
+        fields = uri.split(":")
+        fields = fields[2:] if len(fields) == 13 and fields[:2] == ["cpe", "2.3"] else None
+    part = None if fields is None else _PARTS.get(fields[0])
+    if part is None:
         raise MalformedCpe(f"not a well-formed cpe:2.3 formatted string: {uri!r}")
-    part, *fields = match.groups()
+    # Each field is normalized on its own: lowercasing the whole string would
+    # turn a final sigma into a medial one.
     values = [
         f if f in (WILDCARD, NOT_APPLICABLE) else normalize_component(f)
-        for f in fields
+        for f in fields[1:]
     ]
-    return CpeRecord(Part(part), *values, uri)
+    return CpeRecord(part, *values, uri)

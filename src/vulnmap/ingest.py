@@ -6,6 +6,7 @@ import csv
 import gzip
 import json
 import re
+import zlib
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -19,6 +20,15 @@ SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}$")
 _DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 _WHITESPACE = re.compile(r"\s*")
+# A scheme, a host of ASCII letters, digits, dots and hyphens (so no userinfo,
+# port, brackets or characters urlsplit deletes), then optionally the first two
+# path segments. "(?![^/?#])" ends the host and the second segment where
+# urlsplit ends them: at "/", "?", "#" or the end. Segments exclude "\t\r\n",
+# which urlsplit deletes before splitting.
+_PLAIN_URL = re.compile(
+    r"[A-Za-z][A-Za-z0-9+.-]*://([A-Za-z0-9.-]+)(?![^/?#])"
+    r"(?:/+([^/?#\t\r\n]+)/+([^/?#\t\r\n]+)(?![^/?#]))?"
+)
 # Characters per read of a CVE dump file. Larger reads cut fewer entries
 # off but hold more text: with 64 KiB reads a small-entry NDJSON load
 # peaked at 0.33 MB traced, against 0.05 MB with these.
@@ -122,10 +132,17 @@ def parse_date(text) -> date | None:
         return None
 
 
+# Raised while reading a file from open_text_auto that is not UTF-8 text or
+# not a whole gzip stream: a truncated one raises EOFError, a corrupt one
+# zlib.error or BadGzipFile.
+INPUT_DECODE_ERRORS = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
+
+
 def open_text_auto(path: str | Path) -> TextIO:
     """Open a text file, transparently decompressing gzip (magic 0x1F 0x8B).
 
-    Decodes as UTF-8 and tolerates a leading BOM.
+    Decodes as UTF-8 and tolerates a leading BOM. Reading raises one of
+    INPUT_DECODE_ERRORS on input that does not decode.
     """
     with open(path, "rb") as raw:
         magic = raw.read(2)
@@ -146,27 +163,48 @@ def extract_repo_ref(url: str) -> RepoRef | None:
     s = url.strip()
     if not s:
         return None
+    # A plain "scheme://host/owner/repository" URL needs no urlsplit. It
+    # gives the host and the two segments urlsplit would give; anything
+    # else, a supported host without both segments included, falls through.
+    plain = _PLAIN_URL.match(s)
+    if plain is not None:
+        host, owner, repository = plain.groups()
+        provider = _provider(host)
+        if provider is None:
+            return None
+        if owner is not None:
+            return _repo_ref(provider, owner, repository)
     if "://" not in s:
         s = "//" + s.lstrip("/")
     try:
         parts = urlsplit(s)
     except ValueError:
         return None
-    host = parts.netloc.rsplit("@", 1)[-1].split(":")[0].lower()
-    if host.startswith("www."):
-        host = host[4:]
-    if host not in SUPPORTED_PROVIDERS:
+    provider = _provider(parts.netloc.rsplit("@", 1)[-1].split(":")[0])
+    if provider is None:
         return None
     segments = [seg for seg in parts.path.split("/") if seg]
     if len(segments) < 2:
         return None
-    owner = segments[0].lower()
-    repository = segments[1].lower()
+    return _repo_ref(provider, segments[0], segments[1])
+
+
+def _provider(host: str) -> str | None:
+    """The supported provider a URL's host names, or None."""
+    host = host.lower()
+    if host.startswith("www."):
+        host = host[4:]
+    return host if host in SUPPORTED_PROVIDERS else None
+
+
+def _repo_ref(provider: str, owner: str, repository: str) -> RepoRef | None:
+    owner = owner.lower()
+    repository = repository.lower()
     if repository.endswith(".git"):
         repository = repository[: -len(".git")]
     if not owner or not repository:
         return None
-    return RepoRef(provider=host, owner=owner, repository=repository)
+    return RepoRef(provider, owner, repository)
 
 
 def _split_keywords(text: str) -> tuple[str, ...]:

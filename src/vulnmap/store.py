@@ -32,9 +32,11 @@ class WorkspaceLocked(RuntimeError):
     """Another command currently holds the workspace lock."""
 
 
-def _dumps(obj) -> str:
-    # A record (a NamedTuple) becomes the JSON array of its fields.
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "), default=date.isoformat)
+# Built once: json.dumps with options builds a new encoder for every call. A
+# record (a NamedTuple) becomes the JSON array of its fields.
+_dumps = json.JSONEncoder(
+    ensure_ascii=False, separators=(", ", ": "), default=date.isoformat
+).encode
 
 
 def mapping_to_dict(result: MappingResult) -> dict:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import random
 import re
+from urllib.parse import urlsplit
 
 from vulnmap.fuzzy import EmptyInput, similarity
-from vulnmap.ingest import CveRecord, PackageRecord, extract_repo_ref
+from vulnmap.ingest import SUPPORTED_PROVIDERS, CveRecord, PackageRecord, RepoRef, extract_repo_ref
 from vulnmap.cpe import parse_cpe23
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,46 @@ def reference_cpe23_fields(uri: str) -> list[str] | None:
     if len(fields) != 11 or fields[0] not in ("a", "o", "h", "*", "-"):
         return None
     return fields
+
+
+# ---------------------------------------------------------------------------
+# reference repository URL parser
+# ---------------------------------------------------------------------------
+
+
+def reference_repo_ref(url: str) -> RepoRef | None:
+    """Pull (provider, owner, repository) out of a repository URL.
+
+    Scheme, "www." prefixes, userinfo and ports are ignored; the trailing
+    ".git" is stripped from the repository segment. Returns None for
+    unsupported hosts or paths with fewer than two meaningful segments.
+    """
+    if not url:
+        return None
+    s = url.strip()
+    if not s:
+        return None
+    if "://" not in s:
+        s = "//" + s.lstrip("/")
+    try:
+        parts = urlsplit(s)
+    except ValueError:
+        return None
+    host = parts.netloc.rsplit("@", 1)[-1].split(":")[0].lower()
+    if host.startswith("www."):
+        host = host[4:]
+    if host not in SUPPORTED_PROVIDERS:
+        return None
+    segments = [seg for seg in parts.path.split("/") if seg]
+    if len(segments) < 2:
+        return None
+    owner = segments[0].lower()
+    repository = segments[1].lower()
+    if repository.endswith(".git"):
+        repository = repository[: -len(".git")]
+    if not owner or not repository:
+        return None
+    return RepoRef(provider=host, owner=owner, repository=repository)
 
 
 # ---------------------------------------------------------------------------

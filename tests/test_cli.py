@@ -168,6 +168,47 @@ def test_ingest_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
     assert not (ws / ".staging").exists()
 
 
+def _bad_utf8(data: bytes) -> bytes:
+    """The data with two bytes that are not UTF-8 inside its last line."""
+    head, sep, last = data.rstrip(b"\n").rpartition(b"\n")
+    return head + sep + last[:3] + b"\xff\xfe" + last[3:] + b"\n"
+
+
+# Each case: the flag, then the bad input's bytes from the fixture's bytes.
+UNDECODABLE_INPUTS = {
+    "packages-not-utf8": ("--packages", lambda: _bad_utf8(Path(PACKAGES).read_bytes())),
+    "versions-not-utf8": ("--versions", lambda: _bad_utf8(VERSIONS_CSV.encode())),
+    "cves-not-utf8": ("--cves", lambda: _bad_utf8(Path(CVES).read_bytes())),
+    "packages-truncated-gzip": (
+        "--packages", lambda: gzip.compress(Path(PACKAGES).read_bytes())[:-40]),
+}
+
+
+@pytest.mark.parametrize("case", UNDECODABLE_INPUTS)
+def test_undecodable_input_exits_1_and_leaves_the_store_unchanged(tmp_path, capsys, case):
+    flag, make = UNDECODABLE_INPUTS[case]
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    before = workspace_bytes(ws)
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(make())
+    inputs = {"--packages": PACKAGES, "--cves": CVES, "--versions": None}
+    inputs[flag] = str(bad)
+    argv = [arg for key, path in inputs.items() if path for arg in (key, path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vulnmap", "ingest", "--workspace", str(ws), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"vulnmap: error: cannot read {flag} input: {bad}: ")
+    assert not (ws / ".staging").exists()
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+
+
 def test_ingest_accepts_gzip(tmp_path, capsys):
     gz = tmp_path / "packages.csv.gz"
     gz.write_bytes(gzip.compress(Path(PACKAGES).read_bytes()))

@@ -1,5 +1,7 @@
 import random
+import re
 import string
+import sys
 
 import pytest
 
@@ -85,6 +87,23 @@ def test_normalize_component_idempotent_on_tricky_inputs():
         assert normalize_component(once) == once
 
 
+def test_lowercasing_puts_no_whitespace_at_either_end():
+    # The backslash-free paths of normalize_component and parse_cpe23 strip
+    # only before lowercasing; this is what makes that enough.
+    for ch in map(chr, range(sys.maxunicode + 1)):
+        if not ch.isspace():
+            low = ch.lower()
+            assert not low[0].isspace() and not low[-1].isspace(), repr(ch)
+
+
+def test_normalize_component_agrees_with_its_escape_resolving_form():
+    rng = random.Random(4242)
+    alphabet = ("a", "Z", " ", "\t", "\\", "\\:", "\u03a3", "\u212a", "\u0130", "\u00a0", ":")
+    for _ in range(20_000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        assert normalize_component(s) == re.sub(r"\\\\?", "", s.strip().lower()).strip()
+
+
 def _random_component(rng: random.Random) -> str:
     # Raw component text with escapes, as it appears inside the formatted string.
     pieces = []
@@ -154,9 +173,10 @@ EDGE_CPES = [
     "cpe:/a:v:p:1:*:*:*:*:*:*:*:*",
     "CPE:2.3:a:v:p:1:*:*:*:*:*:*:*",
     "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*\n",
+    "cpe:2.3:a:a\u03a3:b:*:*:*:*:*:*:*:*",  # a final sigma: lowercase each field alone
 ]
 _PIECES = ("a", "Z", "7", ".", " ", "*", "-", ":", "\\", "\\:", "\\\\", "\\\n", "\n",
-           "\u00e9", "\u65e5", "\U0001f600")
+           "\u00e9", "\u65e5", "\U0001f600", "\u03a3", "\u212a")
 
 
 def _messy_cpe(rng: random.Random) -> str:
@@ -172,14 +192,18 @@ def _messy_cpe(rng: random.Random) -> str:
 
 def test_parser_agrees_with_reference_splitter():
     rng = random.Random(7695)
-    accepted = 0
-    for uri in EDGE_CPES + [_messy_cpe(rng) for _ in range(20_000)]:
+    messy = [_messy_cpe(rng) for _ in range(20_000)]
+    accepted = {True: 0, False: 0}  # by whether the string holds a backslash
+    # Each messy string also without its backslashes, for the str.split path.
+    for uri in EDGE_CPES + messy + [m.replace("\\", "") for m in messy]:
         fields = reference_cpe23_fields(uri)
         if fields is None:
             with pytest.raises(MalformedCpe):
                 parse_cpe23(uri)
             continue
-        accepted += 1
+        accepted["\\" in uri] += 1
         values = [f if f in ("*", "-") else normalize_component(f) for f in fields[1:]]
         assert parse_cpe23(uri) == CpeRecord(Part(fields[0]), *values, uri)
-    assert 2_000 < accepted < 18_000  # both outcomes are well exercised
+    # Both outcomes, and accepted strings with and without a backslash, are well exercised.
+    assert 4_000 < sum(accepted.values()) < 36_000
+    assert min(accepted.values()) > 2_000

@@ -5,9 +5,12 @@ import random
 import tracemalloc
 from datetime import date
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
+import vulnmap.ingest
+from helpers import reference_repo_ref
 from vulnmap.ingest import (
     _READ_CHARS,
     CsvStructure,
@@ -305,6 +308,10 @@ def test_extract_repo_ref_normalization():
     )
     assert extract_repo_ref("github.com/a/b") == RepoRef("github.com", "a", "b")
     assert extract_repo_ref("https://github.com:443/a/b") == RepoRef("github.com", "a", "b")
+    # The remaining forms the README lists.
+    for url in ("ssh://github.com/a/b", "git+https://github.com/a/b",
+                "https://www.GitHub.com/A/b/tree/master", "https://github.com/a/b#readme"):
+        assert extract_repo_ref(url) == RepoRef("github.com", "a", "b")
 
 
 def test_extract_repo_ref_rejects():
@@ -340,6 +347,79 @@ def test_extract_repo_ref_invariants_on_random_urls():
         assert ref.repository == ref.repository.lower()
         assert not ref.repository.endswith(".git")
         assert ref.repo_link == f"{ref.provider}/{ref.owner}/{ref.repository}"
+
+
+# The repository URL forms of the benchmark workloads (perfbench/gen.py): five
+# forms on the supported hosts, and a homepage on an unsupported host.
+BENCH_URL_FORMS = (
+    "https://{host}/{owner}/{repo}",
+    "git+https://{host}/{owner}/{repo}.git",
+    "https://www.{host}/{Owner}/{repo}/tree/master",
+    "http://{host}/{owner}/{repo}.git",
+    "https://{host}/{owner}/{repo}#readme",
+)
+BENCH_URLS = [
+    form.format(host=host, owner="owner", Owner="Owner", repo="some-repo")
+    for host in ("github.com", "gitlab.com", "bitbucket.org")
+    for form in BENCH_URL_FORMS
+] + ["https://stem.example.org/some_base"]
+
+_URL_SCHEMES = ("https://",) * 6 + (
+    "http://", "HTTPS://", "git+https://", "git://", "ssh://", "1http://", "a:b://", "https:",
+    "//", "/", "", "", "ht\ttps://")
+_URL_USERINFO = ("",) * 15 + ("user@", "user:pw@", "@")
+_URL_HOSTS = ("github.com",) * 4 + (
+    "GitHub.com", "www.github.com", "WWW.GITLAB.COM", "gitlab.com", "bitbucket.org",
+    "www.bitbucket.org", "bitbuc\u212aet.org", "g\u0130thub.com", "example.org", "x.example.org",
+    "www.www.github.com", "www.", "", "github.com.", "gist.github.com", "[::1]", "github.com]",
+    "git[hub.com", "git\thub.com")
+_URL_PORTS = ("",) * 15 + (":8080", ":443", ":")
+_URL_PIECES = ("a", "B", "7", "-", "_", ".", ".git", ".GIT", "%20", " ", "\t", "\r", "\n",
+               "\x00", "\x1f", "\u212a", "\u0130", "\u00e9", "[", "]", "@", ":", "?", "#",
+               "/", "//", "www.", "user@", ":8080")
+_URL_TAILS = ("", "", "/", "?q=1", "#frag", "/tree/master", "?", "#", " ", "\n")
+
+
+def _messy_url(rng: random.Random) -> str:
+    segments = [
+        "".join(rng.choice(_URL_PIECES) for _ in range(rng.choice((0, 1, 1, 2, 3))))
+        if rng.random() < 0.3 else rng.choice(("a", "Owner", "repo.git", "x-y", ".git"))
+        for _ in range(rng.choice((0, 1, 2, 2, 2, 3)))
+    ]
+    url = (rng.choice(_URL_SCHEMES) + rng.choice(_URL_USERINFO) + rng.choice(_URL_HOSTS)
+           + rng.choice(_URL_PORTS) + "".join(rng.choice(("/", "/", "//")) + s for s in segments)
+           + rng.choice(_URL_TAILS))
+    if rng.random() < 0.2:  # one stray character anywhere, the scheme and host included
+        at = rng.randrange(len(url) + 1)
+        url = url[:at] + rng.choice(_URL_PIECES) + url[at:]
+    return url
+
+
+def test_extract_repo_ref_agrees_with_urlsplit_reference(monkeypatch):
+    calls = []
+    monkeypatch.setattr(vulnmap.ingest, "urlsplit",
+                        lambda url: calls.append(url) or urlsplit(url))
+    rng = random.Random(3986)
+    found = 0
+    for url in BENCH_URLS + [_messy_url(rng) for _ in range(200_000)]:
+        ref = extract_repo_ref(url)
+        assert ref == reference_repo_ref(url), repr(url)
+        found += ref is not None
+    # Both outcomes, and both the regex and the urlsplit path, are well exercised.
+    assert 20_000 < found < 180_000
+    assert 20_000 < len(calls) < 180_000
+
+
+def test_plain_urls_resolve_without_urlsplit(monkeypatch):
+    def no_urlsplit(url, *args, **kwargs):
+        raise AssertionError(f"urlsplit called for {url!r}")
+
+    monkeypatch.setattr(vulnmap.ingest, "urlsplit", no_urlsplit)
+    for url in BENCH_URLS:
+        assert extract_repo_ref(url) == reference_repo_ref(url)
+    assert extract_repo_ref("https://x.example.org/a/b") is None
+    with pytest.raises(AssertionError, match="urlsplit called"):
+        extract_repo_ref("https://user@github.com:443/a/b")
 
 
 # -- versions ----------------------------------------------------------------

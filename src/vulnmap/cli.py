@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"ingest": cmd_ingest, "map": cmd_map, "report": cmd_report}
     try:
         summary = commands[args.command](args, workspace)
-    except (CommandError, store.WorkspaceLocked, OSError) as exc:
+    except (CommandError, store.WorkspaceLocked, store.CorruptStore, OSError) as exc:
         return _fail(str(exc))
     return _emit({**summary, "workspace": str(workspace.root)})
 

@@ -29,9 +29,10 @@ _PLAIN_URL = re.compile(
     r"[A-Za-z][A-Za-z0-9+.-]*://([A-Za-z0-9.-]+)(?![^/?#])"
     r"(?:/+([^/?#\t\r\n]+)/+([^/?#\t\r\n]+)(?![^/?#]))?"
 )
-# Characters per read of a CVE dump file. Larger reads cut fewer entries
-# off but hold more text: with 64 KiB reads a small-entry NDJSON load
-# peaked at 0.33 MB traced, against 0.05 MB with these.
+# Characters per read of a CVE dump file, and per block of store lines read
+# back (store.Workspace.read_ndjson). Larger reads cut fewer entries off but
+# hold more text: with 64 KiB reads a small-entry NDJSON load peaked at
+# 0.33 MB traced, against 0.05 MB with these.
 _READ_CHARS = 8192
 
 # Libraries.io CSV schemas (logical field -> header name).
@@ -422,6 +423,18 @@ def _iter_json_values(source: Iterable[str]) -> Iterator:
         raise JsonStructure(f"truncated JSON array: no closing ']' after entry {count}")
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8; text holding a lone surrogate does not.
+
+    JSON decodes an unpaired escape such as ``"\\ud800"`` to a lone surrogate.
+    """
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _as_list(value) -> list:
     """Coerce a dump field to a list; a bare string counts as one element."""
     if isinstance(value, (list, tuple)):
@@ -445,7 +458,8 @@ def load_cves(
     reject (NDJSON only; in an array it is a JsonStructure error, as are
     empty, truncated and unparseable input). Unparseable CPE strings inside an entry are counted under
     ``tallies["malformed_cpes"]`` and skipped; the entry is still yielded.
-    Entries without a well-formed CVE id (or repeating one) become rejects.
+    Entries without a well-formed CVE id (or repeating one) become rejects,
+    as do entries whose text holds a lone surrogate (``unencodable_text``).
     """
     fields = dict(DEFAULT_CVE_FIELDS)
     if field_map:
@@ -453,6 +467,8 @@ def load_cves(
 
     def reject(index: int, reason: str, data) -> None:
         if rejects is not None:
+            if not _is_utf8(json.dumps(data, ensure_ascii=False)):
+                data = json.dumps(data)  # the same value with its lone surrogates escaped
             rejects({"source": "cves", "row": index, "reason": reason, "data": data})
 
     def tally(key: str, amount: int = 1) -> None:
@@ -473,19 +489,25 @@ def load_cves(
             continue
         seen_ids.add(cve_id)
 
-        cpes = []
+        cpes, malformed = [], 0
         for item in _as_list(entry.get(fields["cpes"])):
             cpe_str = item.get("id") if isinstance(item, dict) else item
             try:
                 cpes.append(parse_cpe23(str(cpe_str)))
             except MalformedCpe:
-                tally("malformed_cpes")
+                malformed += 1
+        summary = str(entry.get(fields["summary"]) or "")
         references = tuple(
             str(ref) for ref in _as_list(entry.get(fields["references"])) if ref
         )
+        if not _is_utf8("".join((summary, *references, *(c.raw for c in cpes)))):
+            reject(index, "unencodable_text", cve_id)
+            continue
+        if malformed:
+            tally("malformed_cpes", malformed)
         yield CveRecord(
             cve_id=cve_id,
-            summary=str(entry.get(fields["summary"]) or ""),
+            summary=summary,
             references=references,
             published=parse_date(entry.get(fields["published"])),
             cpes=tuple(cpes),

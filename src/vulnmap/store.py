@@ -18,8 +18,8 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .cpe import CpeRecord, Part
-from .ingest import CveRecord, PackageRecord, RepoRef, VersionRecord
+from .cpe import _PARTS, CpeRecord
+from .ingest import _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord
 from .match import Evidence, MappingResult, Strategy
 
 LOCK_NAME = ".lock"
@@ -30,6 +30,18 @@ STORE_LAYOUT = 2
 
 class WorkspaceLocked(RuntimeError):
     """Another command currently holds the workspace lock."""
+
+
+class CorruptStore(ValueError):
+    """A workspace file that does not read back as the rows its writer wrote."""
+
+    def __init__(self, path: Path, exc: Exception):
+        # A JSON error's position is within a block of lines, not the file.
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        super().__init__(
+            f"corrupt store file {path}: {type(exc).__name__}: {reason}; "
+            "run 'vulnmap ingest' again"
+        )
 
 
 # Built once: json.dumps with options builds a new encoder for every call. A
@@ -163,40 +175,61 @@ class Workspace:
         return count
 
     def read_ndjson(self, path: Path) -> Iterator:
+        """Yield the value of each non-blank line of ``path``.
+
+        Whole lines of about ``_READ_CHARS`` characters are decoded at a
+        time as one JSON array, so the per-row work runs in C and memory is
+        bounded by one block (or its longest line).
+        """
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+            while lines := fh.readlines(_READ_CHARS):
+                yield from json.loads("[" + ",".join(filter(str.strip, lines)) + "]")
+
+    @contextlib.contextmanager
+    def _rows(self, path: Path) -> Iterator[Iterator]:
+        """Yield the rows of ``path``; a row the block cannot rebuild raises CorruptStore."""
+        with contextlib.closing(self.read_ndjson(path)) as rows:
+            try:
+                yield rows
+            except (ValueError, TypeError, KeyError, IndexError) as exc:
+                raise CorruptStore(path, exc) from None
 
     # -- typed snapshots --------------------------------------------------
 
     def load_packages(self) -> list[PackageRecord]:
-        return [
-            PackageRecord(key, platform, name, tuple(keywords), license, repo and RepoRef(*repo))
-            for key, platform, name, keywords, license, repo in self.read_ndjson(self.packages_path)
-        ]
+        with self._rows(self.packages_path) as rows:
+            return [
+                PackageRecord(
+                    key, platform, name, tuple(keywords), license, repo and RepoRef(*repo)
+                )
+                for key, platform, name, keywords, license, repo in rows
+            ]
 
     def load_versions(self) -> list[VersionRecord]:
         if not self.versions_path.exists():
             return []
-        return [
-            VersionRecord(key, platform, label, date.fromisoformat(published))
-            for key, platform, label, published in self.read_ndjson(self.versions_path)
-        ]
+        with self._rows(self.versions_path) as rows:
+            return [
+                VersionRecord(key, platform, label, date.fromisoformat(published))
+                for key, platform, label, published in rows
+            ]
 
     def load_cves(self) -> list[CveRecord]:
-        return [
-            CveRecord(
-                cve_id, summary, tuple(references),
-                published and date.fromisoformat(published),
-                tuple(CpeRecord(Part(c[0]), *c[1:]) for c in cpes),
-            )
-            for cve_id, summary, references, published, cpes in self.read_ndjson(self.cves_path)
-        ]
+        records = []
+        with self._rows(self.cves_path) as rows:
+            for cve_id, summary, references, published, cpes in rows:
+                for c in cpes:  # a freshly decoded list: swap in its Part without an enum call
+                    c[0] = _PARTS[c[0]]
+                records.append(CveRecord(
+                    cve_id, summary, tuple(references),
+                    published and date.fromisoformat(published),
+                    tuple(map(CpeRecord._make, cpes)),
+                ))
+        return records
 
     def load_mappings(self, strategy_key: str) -> list[MappingResult]:
-        path = self.mappings_path(strategy_key)
-        return [mapping_from_dict(d) for d in self.read_ndjson(path)]
+        with self._rows(self.mappings_path(strategy_key)) as rows:
+            return [mapping_from_dict(d) for d in rows]
 
     def write_summary(self, summary: dict) -> None:
         with open(self.summary_path, "w", encoding="utf-8", newline="") as fh:
@@ -207,4 +240,7 @@ class Workspace:
         if not self.summary_path.exists():
             return {}
         with open(self.summary_path, encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                return json.load(fh)
+            except ValueError as exc:
+                raise CorruptStore(self.summary_path, exc) from None

@@ -209,6 +209,96 @@ def test_undecodable_input_exits_1_and_leaves_the_store_unchanged(tmp_path, caps
     assert sorted(p.name for p in ws.iterdir()) == sorted(before)
 
 
+def _cut_mid_line(data: bytes) -> bytes:
+    """The data cut off in the middle of its middle line."""
+    start = data.rfind(b"\n", 0, len(data) // 2) + 1
+    return data[: (start + data.index(b"\n", start)) // 2]
+
+
+def _unknown_cpe_part(data: bytes) -> bytes:
+    """The CVE rows with the part of their first CPE row set to "x"."""
+    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    next(row for row in rows if row[4])[4][0][0] = "x"
+    return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+
+
+# Each case: the workspace file, how to corrupt its bytes, the commands that read it.
+CORRUPT_STORES = {
+    "packages-truncated": ("packages.ndjson", _cut_mid_line, ("map", "report")),
+    "versions-truncated": ("versions.ndjson", _cut_mid_line, ("report",)),
+    "cves-truncated": ("cves.ndjson", _cut_mid_line, ("map", "report")),
+    "mappings-truncated": ("mappings_strict.ndjson", _cut_mid_line, ("report",)),
+    "cpe-part-x": ("cves.ndjson", _unknown_cpe_part, ("map", "report")),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_STORES)
+def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
+    name, corrupt, commands = CORRUPT_STORES[case]
+    ws = tmp_path / "ws"
+    versions = tmp_path / "versions.csv"
+    versions.write_text(VERSIONS_CSV, encoding="utf-8")
+    assert ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    assert run(capsys, "report", "--workspace", str(ws))[0] == 0
+    path = ws / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    before = workspace_bytes(ws)
+    for command in commands:
+        code, out, err = run(capsys, command, "--workspace", str(ws))
+        assert code == 1
+        assert err.startswith(f"vulnmap: error: corrupt store file {path}: ")
+        assert err.endswith("; run 'vulnmap ingest' again\n")
+        assert "Traceback" not in err and out == ""
+        assert workspace_bytes(ws) == before
+        assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+    if case == "cpe-part-x":
+        assert "KeyError: 'x'" in err
+
+
+def test_corrupt_summary_exits_1(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    summary = ws / "summary.json"
+    summary.write_bytes(_cut_mid_line(summary.read_bytes()))
+    code, out, err = run(capsys, "map", "--workspace", str(ws))
+    assert code == 1 and out == ""
+    assert err.startswith(f"vulnmap: error: corrupt store file {summary}: ")
+
+
+# Each case: CVE fields holding a lone surrogate, which json.dumps writes as an escape.
+LONE_SURROGATES = {
+    "summary": {"summary": "x\ud800y"},
+    "reference": {"references": ["https://example.org/\udc00"]},
+    "cpe": {"vulnerable_configuration": ["cpe:2.3:a:acme:lib\ud800:*:*:*:*:*:*:*:*"]},
+}
+
+
+@pytest.mark.parametrize("case", LONE_SURROGATES)
+def test_lone_surrogate_in_a_cve_becomes_a_reject(tmp_path, capsys, case):
+    cves = tmp_path / "cves.ndjson"
+    bad = json.dumps({"id": "CVE-2099-0001", **LONE_SURROGATES[case]})
+    paired = json.dumps({"id": "CVE-2099-0002", "summary": "ok \U0001F600"})
+    assert "\\ud800" in bad or "\\udc00" in bad
+    assert "\\ud83d\\ude00" in paired
+    cves.write_text(Path(CVES).read_text(encoding="utf-8") + bad + "\n" + paired + "\n",
+                    encoding="utf-8")
+    ws = tmp_path / "ws"
+    code, out, err = ingest(capsys, ws, PACKAGES, str(cves))
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["cves"] == 51
+    assert summary["rejects"] == {"total": 4, "packages": 3, "cves": 1}
+    assert summary["malformed_cpes"] == 3
+    rejects = [json.loads(line) for line in (ws / "rejects.ndjson").read_text("utf-8").splitlines()]
+    assert rejects[-1] == {"source": "cves", "row": 51, "reason": "unencodable_text",
+                           "data": "CVE-2099-0001"}
+    loaded = {cve.cve_id: cve for cve in Workspace(ws).load_cves()}
+    assert "CVE-2099-0001" not in loaded
+    assert loaded["CVE-2099-0002"].summary == "ok \U0001F600"
+    assert len(loaded) == 51
+
+
 def test_ingest_accepts_gzip(tmp_path, capsys):
     gz = tmp_path / "packages.csv.gz"
     gz.write_bytes(gzip.compress(Path(PACKAGES).read_bytes()))

@@ -219,6 +219,28 @@ def test_duplicate_and_bad_ids_rejected():
     assert len(records) + len(rejects) == 5
 
 
+def test_lone_surrogates_reach_no_record_and_no_reject():
+    entries = [
+        {"id": "CVE-2020-0001", "summary": "x\ud800",
+         "vulnerable_configuration": ["cpe:2.3:a:v:p:*:*:*:*:*:*:*:*", "cpe:/a:bad"]},
+        "\udc00",
+        {"id": "CVE-\ud800"},
+        {"id": "CVE-2020-0002", "summary": "\U0001F600"},
+    ]
+    text = "\n".join(json.dumps(e) for e in entries)  # lone surrogates as \\uXXXX escapes
+    rejects, tallies = [], {}
+    records = list(load_cves(io.StringIO(text), rejects=rejects.append, tallies=tallies))
+    assert [(r.cve_id, r.summary) for r in records] == [("CVE-2020-0002", "\U0001F600")]
+    assert [(r["row"], r["reason"], r["data"]) for r in rejects] == [
+        (1, "unencodable_text", "CVE-2020-0001"),
+        (2, "not_an_object", '"\\udc00"'),
+        (3, "bad_cve_id", '"CVE-\\ud800"'),
+    ]
+    for reject in rejects:
+        json.dumps(reject, ensure_ascii=False).encode("utf-8")
+    assert tallies == {}  # the rejected entry's malformed CPE is not counted
+
+
 def test_document_level_json_error_aborts():
     with pytest.raises(JsonStructure):
         list(load_cves(io.StringIO("]")))

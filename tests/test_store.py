@@ -11,8 +11,8 @@ import pytest
 
 import vulnmap
 from test_match import mk_cve, mk_pkg
-from vulnmap.cpe import Part
-from vulnmap.ingest import VersionRecord, load_cves, load_packages
+from vulnmap.cpe import CpeRecord, Part
+from vulnmap.ingest import _READ_CHARS, RepoRef, VersionRecord, load_cves, load_packages
 from vulnmap.match import default_lookup_config, run_all
 from vulnmap.store import Workspace, WorkspaceLocked, mapping_from_dict, mapping_to_dict
 
@@ -117,3 +117,46 @@ def test_ndjson_is_one_compact_line_per_record(tmp_path):
     lines = ws.packages_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == ["p1", "NPM", "x", [], "", None]
+
+
+def test_block_reader_agrees_with_per_line_decoding(tmp_path):
+    packages = [
+        mk_pkg(f"p{i}", "NPM", f"naïve-名前-{i}", keywords=(f"kw\u2028{i}", "ß"),
+               repo_url=f"https://github.com/o/r{i}" if i % 2 else "")
+        for i in range(3000)
+    ]
+    packages[1234] = mk_pkg("long", "Pypi", "x" * (3 * _READ_CHARS))  # a line longer than a block
+    ws = Workspace(tmp_path).ensure()
+    ws.write_ndjson(ws.packages_path, packages)
+    rows = ws.packages_path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert len(rows) == len(packages)
+    # Blank and whitespace-only lines between rows, a run of them longer than
+    # a block, and no newline after the last row.
+    lines = []
+    for i, row in enumerate(rows):
+        lines += [row] + ["", " \t"][: i % 3]
+    lines.insert(2000, "\n" * (2 * _READ_CHARS))
+    text = "\n".join(lines)
+    assert len(text) > 20 * _READ_CHARS and not text.endswith("\n")
+    ws.packages_path.write_text(text, encoding="utf-8")
+    reference = [json.loads(line) for line in text.split("\n") if line.strip()]
+    assert list(ws.read_ndjson(ws.packages_path)) == reference
+    assert ws.load_packages() == packages
+
+
+def test_loaded_records_hold_parts_and_tuples(tmp_path):
+    ws = Workspace(tmp_path).ensure()
+    ws.write_ndjson(ws.packages_path, (
+        mk_pkg("p1", "NPM", "lodash", keywords=("a", "b"), repo_url="https://github.com/a/b"),
+    ))
+    cve = mk_cve("CVE-2019-0001", refs=("https://x",), products=[("lodash", "node.js")])
+    cve = cve._replace(cpes=cve.cpes + (cve.cpes[0]._replace(part=Part.OPERATING_SYSTEM),))
+    ws.write_ndjson(ws.cves_path, (cve,))
+    [package] = ws.load_packages()
+    assert type(package.keywords) is tuple and type(package.repo) is RepoRef
+    [loaded] = ws.load_cves()
+    assert loaded == cve
+    assert type(loaded.references) is tuple and type(loaded.cpes) is tuple
+    assert [type(c) for c in loaded.cpes] == [CpeRecord, CpeRecord]
+    assert [type(c.part) for c in loaded.cpes] == [Part, Part]
+    assert [c.part for c in loaded.cpes] == [Part.APPLICATION, Part.OPERATING_SYSTEM]

@@ -34,8 +34,8 @@ class ReportSpec(NamedTuple):
 # so wrappers installed on ``store.Workspace`` or ``vulnmap.report`` apply.
 SNAPSHOTS: dict[str, Callable] = {
     "packages": lambda ws: ws.load_packages(),
-    "versions": lambda ws: ws.load_versions(),
-    "cves": lambda ws: ws.load_cves(),
+    "versions": lambda ws: ws.load_versions(),  # a one-pass stream: one report reads it
+    "cves": lambda ws: ws.load_cve_years(),  # CVE id -> year: no report reads more
     "mappings": lambda ws: {
         key: ws.load_mappings(key) for key in STRATEGY_KEYS if ws.mappings_path(key).exists()
     },
@@ -53,9 +53,9 @@ REPORTS: dict[str, ReportSpec] = {
     "versions-per-year": ReportSpec(
         "versions", lambda versions, ws, k: rep.versions_per_year(versions)),
     "cve-per-year": ReportSpec(
-        "cves", lambda cves, ws, k: rep.cve_per_year(cves)),
+        "cves", lambda years, ws, k: rep.cve_per_year(years)),
     "mapped-cve-per-year": ReportSpec(
-        "cves", lambda cves, ws, k: rep.mapped_cve_per_year(ws.load_mappings("strict"), cves),
+        "cves", lambda years, ws, k: rep.mapped_cve_per_year(ws.load_mappings("strict"), years),
         needs=("strict",)),
     "vulnerable-packages": ReportSpec(
         "mappings", lambda mappings, ws, k: rep.vulnerable_package_count(mappings, k or _RANK_K),

@@ -106,18 +106,20 @@ class CveRecord(NamedTuple):
 
     @property
     def year(self) -> int:
-        """Publication year, falling back to the year embedded in the id."""
-        if self.published is not None:
-            return self.published.year
-        return int(self.cve_id.split("-")[1])
+        return cve_year(self.cve_id, self.published)
+
+
+def cve_year(cve_id: str, published: date | None) -> int:
+    """Publication year, falling back to the year embedded in the id."""
+    return int(cve_id.split("-")[1]) if published is None else published.year
 
 
 @dataclass
 class IndexSet:
-    """Lookup indexes over an ingested corpus; immutable once built."""
+    """Package records by name and by repo_link, in source order; immutable once built."""
 
-    by_name: dict[tuple[str, str], list[str]] = field(default_factory=dict)
-    by_repo_link: dict[str, list[str]] = field(default_factory=dict)
+    by_name: dict[str, list[PackageRecord]] = field(default_factory=dict)
+    by_repo_link: dict[str, list[PackageRecord]] = field(default_factory=dict)
 
 
 def parse_date(text) -> date | None:
@@ -527,7 +529,7 @@ def build_indexes(packages: list[PackageRecord]) -> IndexSet:
     """Build the matcher lookup indexes; source order is preserved."""
     indexes = IndexSet()
     for pkg in packages:
-        indexes.by_name.setdefault((pkg.platform, pkg.name), []).append(pkg.package_key)
+        indexes.by_name.setdefault(pkg.name, []).append(pkg)
         if pkg.repo is not None:
-            indexes.by_repo_link.setdefault(pkg.repo.repo_link, []).append(pkg.package_key)
+            indexes.by_repo_link.setdefault(pkg.repo.repo_link, []).append(pkg)
     return indexes

@@ -222,14 +222,6 @@ def _run_per_cve(
     return results
 
 
-def _name_view(indexes: IndexSet) -> dict[str, list[tuple[str, str]]]:
-    """name -> [(platform, package_key), ...] in index order."""
-    view: dict[str, list[tuple[str, str]]] = {}
-    for (platform, name), keys in indexes.by_name.items():
-        view.setdefault(name, []).extend((platform, key) for key in keys)
-    return view
-
-
 def _cve_target_sw(cve: CveRecord) -> set[str]:
     return {c.target_sw for c in cve.cpes if c.target_sw not in ("*", "-") and c.target_sw}
 
@@ -253,16 +245,11 @@ def strict_name_map(
     """
     if indexes is None:
         indexes = build_indexes(packages)
-    name_view = _name_view(indexes)
-    last_segment_view: dict[str, list[tuple[str, str]]] | None = None
+    last_segment_view: dict[str, list[PackageRecord]] = {}  # empty unless go_last_segment
     if go_last_segment:
-        last_segment_view = {}
-        for (platform, name), keys in indexes.by_name.items():
-            if platform == "Go" and "/" in name:
-                segment = name.rsplit("/", 1)[-1]
-                last_segment_view.setdefault(segment, []).extend(
-                    (platform, key) for key in keys
-                )
+        for pkg in packages:
+            if pkg.platform == "Go" and "/" in pkg.name:
+                last_segment_view.setdefault(pkg.name.rsplit("/", 1)[-1], []).append(pkg)
 
     def per_cve(cve: CveRecord) -> list[MappingResult] | None:
         products = cve_products(cve)
@@ -273,10 +260,8 @@ def strict_name_map(
         out: list[MappingResult] = []
         seen: set[str] = set()
         for product in products:
-            hits = list(name_view.get(product, ()))
-            if last_segment_view is not None:
-                hits += last_segment_view.get(product, ())
-            for platform, key in hits:
+            hits = indexes.by_name.get(product, []) + last_segment_view.get(product, [])
+            for key, platform, *_ in hits:
                 if key in seen:
                     continue
                 if lookup.target_sw_aliases.get(platform, frozenset()) & targets:
@@ -420,7 +405,6 @@ def repository_map(
     if indexes is None:
         indexes = build_indexes(packages)
     by_repo_link = indexes.by_repo_link
-    platform_of = {pkg.package_key: pkg.platform for pkg in packages}
 
     def per_cve(cve: CveRecord) -> list[MappingResult] | None:
         links = extract_reference_links(cve)
@@ -429,27 +413,18 @@ def repository_map(
         out: list[MappingResult] = []
         seen: set[str] = set()
         for link in links:
-            keys = by_repo_link.get(link)
-            if not keys:
-                continue
-            if mode == "first":
-                key = keys[0]
-                return [
-                    MappingResult(
-                        Strategy.REPOSITORY, cve.cve_id, key, platform_of[key], 1.0,
-                        Evidence(REPO_LINK, (link,)),
-                    )
-                ]
-            for key in keys:
-                if key in seen:
+            for pkg in by_repo_link.get(link, ()):
+                if pkg.package_key in seen:
                     continue
-                seen.add(key)
+                seen.add(pkg.package_key)
                 out.append(
                     MappingResult(
-                        Strategy.REPOSITORY, cve.cve_id, key, platform_of[key], 1.0,
+                        Strategy.REPOSITORY, cve.cve_id, pkg.package_key, pkg.platform, 1.0,
                         Evidence(REPO_LINK, (link,)),
                     )
                 )
+                if mode == "first":
+                    return out
         return out
 
     return _run_per_cve(per_cve, cves, tallies)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable
 
-from .ingest import CveRecord, PackageRecord, VersionRecord
+from .ingest import PackageRecord, VersionRecord
 from .match import MappingResult
 
 OTHERS_LABEL = "Others"
@@ -166,9 +166,9 @@ def versions_per_year(versions: Iterable[VersionRecord]) -> Report:
     )
 
 
-def cve_per_year(cves: Iterable[CveRecord]) -> Report:
-    """CVE entry counts per year (published date, falling back to id year)."""
-    counter = Counter(str(cve.year) for cve in cves)
+def cve_per_year(years: dict[str, int]) -> Report:
+    """CVE entry counts per year; ``years`` maps each CVE id to its ``CveRecord.year``."""
+    counter = Counter(map(str, years.values()))
     return Report(
         title="New CVE entries per year",
         group_columns=["year"],
@@ -212,12 +212,9 @@ def vulnerable_package_count(
     )
 
 
-def mapped_cve_per_year(
-    mappings: list[MappingResult], cves: list[CveRecord]
-) -> Report:
-    """Distinct mapped CVE counts per (platform, year)."""
-    year_of = {cve.cve_id: str(cve.year) for cve in cves}
-    cells = {(r.platform, year_of[r.cve_id], r.cve_id) for r in mappings if r.cve_id in year_of}
+def mapped_cve_per_year(mappings: list[MappingResult], years: dict[str, int]) -> Report:
+    """Distinct mapped CVE counts per (platform, year); ``years`` as for ``cve_per_year``."""
+    cells = {(r.platform, str(years[r.cve_id]), r.cve_id) for r in mappings if r.cve_id in years}
     return Report(
         title="Mapped CVE entries per package manager and year",
         group_columns=["platform", "year"],

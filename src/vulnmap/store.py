@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .cpe import _PARTS, CpeRecord
-from .ingest import _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord
+from .ingest import _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord, cve_year
 from .match import Evidence, MappingResult, Strategy
 
 LOCK_NAME = ".lock"
@@ -194,25 +194,35 @@ class Workspace:
             except (ValueError, TypeError, KeyError, IndexError) as exc:
                 raise CorruptStore(path, exc) from None
 
+    def _check_count(self, path: Path, read: int) -> None:
+        """Raise CorruptStore if summary.json records another row count for ``path``."""
+        expected = self.read_summary().get(path.stem)
+        if expected is not None and read != expected:
+            raise CorruptStore(path, ValueError(f"{read} rows read, summary.json has {expected}"))
+
     # -- typed snapshots --------------------------------------------------
 
     def load_packages(self) -> list[PackageRecord]:
+        shared = {}.setdefault  # one string object per distinct platform, license and provider
         with self._rows(self.packages_path) as rows:
-            return [
+            packages = [
                 PackageRecord(
-                    key, platform, name, tuple(keywords), license, repo and RepoRef(*repo)
+                    key, shared(platform, platform), name, tuple(keywords),
+                    shared(license, license), repo and RepoRef(shared(repo[0], repo[0]), *repo[1:]),
                 )
                 for key, platform, name, keywords, license, repo in rows
             ]
+        self._check_count(self.packages_path, len(packages))
+        return packages
 
-    def load_versions(self) -> list[VersionRecord]:
-        if not self.versions_path.exists():
-            return []
-        with self._rows(self.versions_path) as rows:
-            return [
-                VersionRecord(key, platform, label, date.fromisoformat(published))
-                for key, platform, label, published in rows
-            ]
+    def load_versions(self) -> Iterator[VersionRecord]:
+        """Yield the versions one at a time: a versions dump can hold tens of millions."""
+        read = 0
+        if self.versions_path.exists():
+            with self._rows(self.versions_path) as rows:
+                for read, (key, platform, label, published) in enumerate(rows, 1):
+                    yield VersionRecord(key, platform, label, date.fromisoformat(published))
+        self._check_count(self.versions_path, read)
 
     def load_cves(self) -> list[CveRecord]:
         records = []
@@ -225,7 +235,22 @@ class Workspace:
                     published and date.fromisoformat(published),
                     tuple(map(CpeRecord._make, cpes)),
                 ))
+        self._check_count(self.cves_path, len(records))
         return records
+
+    def load_cve_years(self) -> dict[str, int]:
+        """CVE id -> year, with no record built; each row is checked as ``load_cves`` checks it."""
+        years = {}
+        read, width = 0, len(CpeRecord._fields)
+        with self._rows(self.cves_path) as rows:
+            for read, (cve_id, _, _, published, cpes) in enumerate(rows, 1):
+                for c in cpes:  # the KeyError of load_cves's Part swap, the TypeError of _make
+                    _PARTS[c[0]]
+                    if len(c) != width:
+                        raise TypeError(f"Expected {width} arguments, got {len(c)}")
+                years[cve_id] = cve_year(cve_id, published and date.fromisoformat(published))
+        self._check_count(self.cves_path, read)
+        return years
 
     def load_mappings(self, strategy_key: str) -> list[MappingResult]:
         with self._rows(self.mappings_path(strategy_key)) as rows:

@@ -241,6 +241,7 @@ def test_criterion_5_report_arithmetic():
         rng = random.Random(515)
         corpora = [(small, [])]
         corpora.extend(random_corpus(rng, 50, 50) for _ in range(100))
+        mapped_rows = 0
         for packages, cves in corpora:
             for report in (platform_project_share(packages), license_distribution(packages)):
                 shares = [r.share for r in report.rows if r.share is not None]
@@ -260,10 +261,13 @@ def test_criterion_5_report_arithmetic():
             cves_per_year = {}
             for cve in cves:
                 cves_per_year[str(cve.year)] = cves_per_year.get(str(cve.year), 0) + 1
-            mreport = mapped_cve_per_year(outcome.results["strict"], cves)
+            mreport = mapped_cve_per_year(
+                outcome.results["strict"], {cve.cve_id: cve.year for cve in cves})
             for row in mreport.rows:
                 _, year = row.keys
                 assert row.count <= cves_per_year[year]
+            mapped_rows += len(mreport.rows)
+        assert mapped_rows  # the per-year bound was checked on some rows
 
 
 def _env_path(name: str) -> Path | None:
@@ -320,7 +324,7 @@ def test_criterion_7_cve_snapshot_substitute_checks():
         pytest.skip("frozen CVE snapshot not available")
     with criterion(7, "frozen CVE snapshot substitute checks"):
         with open_text_auto(snapshot) as fh:
-            report = cve_per_year_report(load_cves(fh))
+            report = cve_per_year_report({cve.cve_id: cve.year for cve in load_cves(fh)})
         counts = {int(r.keys[0]): r.count for r in report.rows}
         for year, published in TABLE_CVE_PER_YEAR.items():
             got = counts.get(year, 0)
@@ -345,7 +349,7 @@ def test_criterion_7_cve_snapshot_substitute_checks():
         with open_text_auto(projects) as fh:
             packages = list(load_packages(fh, platform_aliases=ALIASES))
         strict = strict_name_map(packages, cves, LOOKUP)
-        yearly = mapped_cve_per_year(strict, cves)
+        yearly = mapped_cve_per_year(strict, {cve.cve_id: cve.year for cve in cves})
         series: dict[str, dict[int, int]] = {}
         for row in yearly.rows:
             platform, year = row.keys

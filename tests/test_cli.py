@@ -215,10 +215,22 @@ def _cut_mid_line(data: bytes) -> bytes:
     return data[: (start + data.index(b"\n", start)) // 2]
 
 
+def _cut_at_line(data: bytes) -> bytes:
+    """The data cut off after the last whole line of its first half."""
+    return data[: data.rfind(b"\n", 0, len(data) // 2) + 1]
+
+
 def _unknown_cpe_part(data: bytes) -> bytes:
     """The CVE rows with the part of their first CPE row set to "x"."""
     rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
     next(row for row in rows if row[4])[4][0][0] = "x"
+    return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+
+
+def _short_cpe_row(data: bytes) -> bytes:
+    """The CVE rows with the last of the 12 fields of their first CPE row dropped."""
+    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    next(row for row in rows if row[4])[4][0].pop()
     return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
 
 
@@ -228,7 +240,11 @@ CORRUPT_STORES = {
     "versions-truncated": ("versions.ndjson", _cut_mid_line, ("report",)),
     "cves-truncated": ("cves.ndjson", _cut_mid_line, ("map", "report")),
     "mappings-truncated": ("mappings_strict.ndjson", _cut_mid_line, ("report",)),
+    "packages-cut-at-line": ("packages.ndjson", _cut_at_line, ("map", "report")),
+    "versions-cut-at-line": ("versions.ndjson", _cut_at_line, ("report",)),
+    "cves-cut-at-line": ("cves.ndjson", _cut_at_line, ("map", "report")),
     "cpe-part-x": ("cves.ndjson", _unknown_cpe_part, ("map", "report")),
+    "cpe-row-short": ("cves.ndjson", _short_cpe_row, ("map", "report")),
 }
 
 
@@ -252,6 +268,10 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "Traceback" not in err and out == ""
         assert workspace_bytes(ws) == before
         assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+        if case == "cpe-row-short":
+            assert "TypeError: Expected 12 arguments, got 11" in err
+        if case.endswith("-cut-at-line"):
+            assert "rows read, summary.json has" in err
     if case == "cpe-part-x":
         assert "KeyError: 'x'" in err
 
@@ -480,7 +500,7 @@ def test_report_all_loads_each_snapshot_once(tmp_path, capsys, monkeypatch):
     ingest(capsys, ws)
     run(capsys, "map", "--workspace", str(ws))
     calls = Counter()
-    for kind in ("packages", "versions", "cves"):
+    for kind in ("packages", "versions", "cves", "cve_years"):
         original = getattr(Workspace, f"load_{kind}")
 
         def counted(self, _original=original, _kind=kind):
@@ -489,7 +509,8 @@ def test_report_all_loads_each_snapshot_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(Workspace, f"load_{kind}", counted)
     code, _, _ = run(capsys, "report", "--workspace", str(ws), "--report", "all")
     assert code == 0
-    assert calls == {"packages": 1, "versions": 1, "cves": 1}
+    # The year reader is the one read of cves.ndjson: no report needs whole CVE records.
+    assert calls == {"packages": 1, "versions": 1, "cve_years": 1}
 
 
 @pytest.mark.parametrize("argv", [

@@ -481,7 +481,9 @@ def test_build_indexes_shared_repo_preserves_source_order():
     records, _ = read_small_packages()
     indexes = build_indexes(records)
     shared = indexes.by_repo_link["github.com/facebook/react"]
-    assert shared == ["P002", "P003"]  # react before react-dom, as in the CSV
+    assert shared == [r for r in records if r.package_key in ("P002", "P003")]
+    # react before react-dom, as in the CSV
+    assert [p.package_key for p in shared] == ["P002", "P003"]
 
 
 def test_build_indexes_empty():
@@ -494,10 +496,9 @@ def test_build_indexes_key_count_matches_bruteforce():
     with open(FIXTURES / "packages_oracle.csv", encoding="utf-8", newline="") as fh:
         packages = list(load_packages(fh, platform_aliases=ALIASES))
     indexes = build_indexes(packages)
-    assert len(indexes.by_name) == len({(p.platform, p.name) for p in packages})
-    all_keys = {p.package_key for p in packages}
-    for keys in indexes.by_name.values():
-        assert set(keys) <= all_keys
+    assert len(indexes.by_name) == len({p.name for p in packages})
+    for name, pkgs in indexes.by_name.items():
+        assert pkgs == [p for p in packages if p.name == name]  # every record, in source order
 
 
 # -- streaming ------------------------------------------------------------------

@@ -327,6 +327,54 @@ def test_fuzzy_equals_oracle_on_bench_inputs(tmp_path, monkeypatch, workload):
     assert got == oracle_fuzzy(packages, cves, config.lookup, 0.3)
 
 
+def _assert_strict_and_repository_equal_oracles(packages, cves, lookup):
+    strict = strict_name_map(packages, cves, lookup)
+    assert strict and {as_tuple(r) for r in strict} == oracle_strict(packages, cves, lookup)
+    for mode in ("all", "first"):
+        got = repository_map(packages, cves, mode)
+        assert got and {as_tuple(r) for r in got} == oracle_repository(packages, cves, mode)
+        assert got == sorted(got, key=lambda r: (r.cve_id, r.platform, r.package_key))
+
+
+@pytest.mark.parametrize("workload", ["bulk-dump", "fuzzy-pool", "fuzzy-score"])
+def test_strict_and_repository_equal_oracles_on_bench_inputs(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    from run import WORKLOADS
+
+    corpus = gen.generate(workload, WORKLOADS[workload], 1, tmp_path)
+    config = default_lookup_config()
+    with open_text_auto(corpus.packages_path) as src:
+        packages = list(load_packages(src, platform_aliases=config.platform_aliases))
+    with open_text_auto(corpus.cves_path) as src:
+        cves = list(load_cves(src))
+    _assert_strict_and_repository_equal_oracles(packages, cves, config.lookup)
+
+
+def test_strict_and_repository_equal_oracles_on_shared_names_and_links():
+    # One name on interleaved platforms and one repository link shared by
+    # packages of several platforms, in shuffled source orders.
+    rng = random.Random(1105)
+    platforms = ("NPM", "Pypi", "Go", "Maven", "Ruby")
+    targets = ("node.js", "python", "go", "java", "ruby", "*")
+    for _ in range(30):
+        packages = []
+        for i in range(rng.randint(10, 40)):
+            name = rng.choice(("shared", "shared", "other", f"own{i}"))
+            url = rng.choice(("https://github.com/acme/shared", "https://gitlab.com/acme/lib", ""))
+            packages.append(mk_pkg(f"k{i:02d}", rng.choice(platforms), name, repo_url=url))
+        cves = [
+            mk_cve(f"CVE-2020-{1000 + n}", summary=rng.choice(("npm", "pypi", "golang", "none")),
+                   refs=rng.sample(("https://github.com/acme/shared/issues/1",
+                                    "https://gitlab.com/acme/lib", "https://example.org/x"),
+                                   rng.randint(1, 3)),
+                   products=[(rng.choice(("shared", "other", "own3")), rng.choice(targets))
+                             for _ in range(rng.randint(1, 3))])
+            for n in range(12)
+        ]
+        _assert_strict_and_repository_equal_oracles(packages, cves, LOOKUP)
+
+
 # -- reference links -----------------------------------------------------------
 
 

@@ -192,19 +192,19 @@ def test_cve_per_year_id_fallback():
         mk_cve("CVE-2020-0001"),
     ]
     cves = [c.__class__(c.cve_id, c.summary, c.references, None, c.cpes) for c in cves]
-    report = cve_per_year(cves)
+    report = cve_per_year({c.cve_id: c.year for c in cves})
     assert {r.keys[0]: r.count for r in report.rows} == {"2019": 2, "2020": 1}
 
 
 def test_cve_per_year_fixture():
-    report = cve_per_year(small_cves())
+    report = cve_per_year({c.cve_id: c.year for c in small_cves()})
     assert {r.keys[0]: r.count for r in report.rows} == {
         "2015": 5, "2016": 6, "2017": 7, "2018": 7, "2019": 9, "2020": 8, "2021": 8,
     }
 
 
 def test_cve_per_year_empty():
-    assert cve_per_year([]).rows == []
+    assert cve_per_year({}).rows == []
 
 
 # -- vulnerable packages ----------------------------------------------------------
@@ -261,12 +261,12 @@ def test_mapped_cve_counted_once_per_platform_year():
     lookup = default_lookup_config().lookup
     results = run_all(packages, cves, lookup).results["strict"]
     assert len(results) == 2  # two packages mapped
-    report = mapped_cve_per_year(results, cves)
+    report = mapped_cve_per_year(results, {c.cve_id: c.year for c in cves})
     assert report.rows == [ReportRow(("NPM", "2019"), 1)]
 
 
 def test_mapped_cve_per_year_empty():
-    assert mapped_cve_per_year([], small_cves()).rows == []
+    assert mapped_cve_per_year([], {c.cve_id: c.year for c in small_cves()}).rows == []
 
 
 # -- top repo links ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import select
 import signal
 import subprocess
 import sys
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from test_match import mk_cve, mk_pkg
 from vulnmap.cpe import CpeRecord, Part
 from vulnmap.ingest import _READ_CHARS, RepoRef, VersionRecord, load_cves, load_packages
 from vulnmap.match import default_lookup_config, run_all
+from vulnmap.report import cve_per_year, versions_per_year
 from vulnmap.store import Workspace, WorkspaceLocked, mapping_from_dict, mapping_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,7 +46,7 @@ def test_version_round_trip(tmp_path):
     version = VersionRecord("p1", "NPM", "1.0.0", date(2019, 2, 3))
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.versions_path, (version,))
-    assert ws.load_versions() == [version]
+    assert list(ws.load_versions()) == [version]
 
 
 def test_mapping_round_trip_all_strategies():
@@ -65,7 +67,7 @@ def test_workspace_snapshots(tmp_path):
     count = ws.write_ndjson(ws.packages_path, packages)
     assert count == 2
     assert ws.load_packages() == packages
-    assert ws.load_versions() == []  # file absent
+    assert list(ws.load_versions()) == []  # file absent
     ws.write_summary({"packages": 2})
     assert ws.read_summary() == {"packages": 2}
 
@@ -160,3 +162,48 @@ def test_loaded_records_hold_parts_and_tuples(tmp_path):
     assert [type(c) for c in loaded.cpes] == [CpeRecord, CpeRecord]
     assert [type(c.part) for c in loaded.cpes] == [Part, Part]
     assert [c.part for c in loaded.cpes] == [Part.APPLICATION, Part.OPERATING_SYSTEM]
+
+
+def _traced_peak(fn):
+    """Call ``fn``; return the peak of bytes allocated during the call and its result."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - baseline, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_readers_hold_no_records(tmp_path):
+    # What report reads of versions.ndjson and cves.ndjson peaks at a few blocks
+    # of lines, not at the record list a full load builds.
+    ws = Workspace(tmp_path).ensure()
+    platforms = ("NPM", "Pypi", "Maven", "Go")
+    with open(ws.versions_path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            f'["P{i % 9000}", "{platforms[i % 4]}", "1.{i}.0", "20{10 + i % 10}-0{1 + i % 9}-01"]\n'
+            for i in range(200_000)
+        )
+    cves = [
+        mk_cve(f"CVE-2019-{10000 + i}", summary=f"entry {i}", refs=(f"https://github.com/o/{i}",),
+               products=[(f"prod{i}-{j}", "node.js") for j in range(40)], year=2010 + i % 10)
+        for i in range(1000)
+    ]
+    ws.write_ndjson(ws.cves_path, cves)
+    ws.write_summary({"versions": 200_000, "cves": len(cves)})
+
+    streamed, report = _traced_peak(lambda: versions_per_year(ws.load_versions()))
+    versions = list(ws.load_versions())
+    # The list's size counted without tracemalloc, which slows each allocation several times.
+    listed = sys.getsizeof(versions) + sum(sys.getsizeof(v) + sum(map(sys.getsizeof, v))
+                                           for v in versions)
+    assert report.metadata["total_versions"] == len(versions) == 200_000
+    assert report.rows == versions_per_year(versions).rows
+    assert streamed * 100 < listed, (streamed, listed)
+
+    year_peak, years = _traced_peak(ws.load_cve_years)
+    cve_peak, loaded = _traced_peak(ws.load_cves)
+    assert loaded == cves
+    assert years == {c.cve_id: c.year for c in cves}
+    assert year_peak * 20 < cve_peak, (year_peak, cve_peak)

@@ -35,7 +35,7 @@ class ReportSpec(NamedTuple):
 SNAPSHOTS: dict[str, Callable] = {
     "packages": lambda ws: ws.load_packages(),
     "versions": lambda ws: ws.load_versions(),  # a one-pass stream: one report reads it
-    "cves": lambda ws: ws.load_cve_years(),  # CVE id -> year: no report reads more
+    "cves": lambda ws: {c.cve_id: c.year for c in ws.load_cves()},  # no report reads more
     "mappings": lambda ws: {
         key: ws.load_mappings(key) for key in STRATEGY_KEYS if ws.mappings_path(key).exists()
     },
@@ -238,7 +238,7 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     lookup = _lookup(args).lookup
     with workspace.lock():
         packages = workspace.load_packages()
-        cves = workspace.load_cves()
+        cves = list(workspace.load_cves())
         summary = workspace.read_summary()
         outcome = run_all(
             packages,

@@ -17,8 +17,9 @@ from .cpe import CpeRecord, MalformedCpe, normalize_component, parse_cpe23
 
 SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 
-CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}$")
-_DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+# ASCII digits only: \d also matches other scripts' digits, which int() accepts.
+CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}$")
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
 _WHITESPACE = re.compile(r"\s*")
 # A scheme, a host of ASCII letters, digits, dots and hyphens (so no userinfo,
 # port, brackets or characters urlsplit deletes), then optionally the first two
@@ -106,12 +107,8 @@ class CveRecord(NamedTuple):
 
     @property
     def year(self) -> int:
-        return cve_year(self.cve_id, self.published)
-
-
-def cve_year(cve_id: str, published: date | None) -> int:
-    """Publication year, falling back to the year embedded in the id."""
-    return int(cve_id.split("-")[1]) if published is None else published.year
+        """Publication year, falling back to the year embedded in the id."""
+        return int(self.cve_id.split("-")[1]) if self.published is None else self.published.year
 
 
 @dataclass

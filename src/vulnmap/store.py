@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .cpe import _PARTS, CpeRecord
-from .ingest import _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord, cve_year
+from .ingest import _READ_CHARS, CVE_ID_RE, CveRecord, PackageRecord, RepoRef, VersionRecord
 from .match import Evidence, MappingResult, Strategy
 
 LOCK_NAME = ".lock"
@@ -224,33 +224,21 @@ class Workspace:
                     yield VersionRecord(key, platform, label, date.fromisoformat(published))
         self._check_count(self.versions_path, read)
 
-    def load_cves(self) -> list[CveRecord]:
-        records = []
+    def load_cves(self) -> Iterator[CveRecord]:
+        """Yield the CVEs one at a time; the only decoder of a ``cves.ndjson`` row."""
+        read = 0
         with self._rows(self.cves_path) as rows:
-            for cve_id, summary, references, published, cpes in rows:
+            for read, (cve_id, summary, references, published, cpes) in enumerate(rows, 1):
+                if not CVE_ID_RE.match(cve_id):  # ingest writes no other; .year reads it
+                    raise ValueError(f"bad CVE id {cve_id!r}")
                 for c in cpes:  # a freshly decoded list: swap in its Part without an enum call
                     c[0] = _PARTS[c[0]]
-                records.append(CveRecord(
+                yield CveRecord(
                     cve_id, summary, tuple(references),
-                    published and date.fromisoformat(published),
+                    None if published is None else date.fromisoformat(published),
                     tuple(map(CpeRecord._make, cpes)),
-                ))
-        self._check_count(self.cves_path, len(records))
-        return records
-
-    def load_cve_years(self) -> dict[str, int]:
-        """CVE id -> year, with no record built; each row is checked as ``load_cves`` checks it."""
-        years = {}
-        read, width = 0, len(CpeRecord._fields)
-        with self._rows(self.cves_path) as rows:
-            for read, (cve_id, _, _, published, cpes) in enumerate(rows, 1):
-                for c in cpes:  # the KeyError of load_cves's Part swap, the TypeError of _make
-                    _PARTS[c[0]]
-                    if len(c) != width:
-                        raise TypeError(f"Expected {width} arguments, got {len(c)}")
-                years[cve_id] = cve_year(cve_id, published and date.fromisoformat(published))
+                )
         self._check_count(self.cves_path, read)
-        return years
 
     def load_mappings(self, strategy_key: str) -> list[MappingResult]:
         with self._rows(self.mappings_path(strategy_key)) as rows:

@@ -227,6 +227,15 @@ def _unknown_cpe_part(data: bytes) -> bytes:
     return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
 
 
+def _set_first_cve_field(field: int, value):
+    """A corruption that sets one field of the first CVE row."""
+    def corrupt(data: bytes) -> bytes:
+        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        rows[0][field] = value
+        return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+    return corrupt
+
+
 def _short_cpe_row(data: bytes) -> bytes:
     """The CVE rows with the last of the 12 fields of their first CPE row dropped."""
     rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
@@ -245,6 +254,8 @@ CORRUPT_STORES = {
     "cves-cut-at-line": ("cves.ndjson", _cut_at_line, ("map", "report")),
     "cpe-part-x": ("cves.ndjson", _unknown_cpe_part, ("map", "report")),
     "cpe-row-short": ("cves.ndjson", _short_cpe_row, ("map", "report")),
+    "cve-published-empty": ("cves.ndjson", _set_first_cve_field(3, ""), ("map", "report")),
+    "cve-id-bad": ("cves.ndjson", _set_first_cve_field(0, "CVE-x"), ("map", "report")),
 }
 
 
@@ -274,6 +285,10 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
             assert "rows read, summary.json has" in err
     if case == "cpe-part-x":
         assert "KeyError: 'x'" in err
+    if case == "cve-published-empty":
+        assert "ValueError: Invalid isoformat string: ''" in err
+    if case == "cve-id-bad":
+        assert "ValueError: bad CVE id 'CVE-x'" in err
 
 
 def test_corrupt_summary_exits_1(tmp_path, capsys):
@@ -500,7 +515,7 @@ def test_report_all_loads_each_snapshot_once(tmp_path, capsys, monkeypatch):
     ingest(capsys, ws)
     run(capsys, "map", "--workspace", str(ws))
     calls = Counter()
-    for kind in ("packages", "versions", "cves", "cve_years"):
+    for kind in ("packages", "versions", "cves"):
         original = getattr(Workspace, f"load_{kind}")
 
         def counted(self, _original=original, _kind=kind):
@@ -509,8 +524,8 @@ def test_report_all_loads_each_snapshot_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(Workspace, f"load_{kind}", counted)
     code, _, _ = run(capsys, "report", "--workspace", str(ws), "--report", "all")
     assert code == 0
-    # The year reader is the one read of cves.ndjson: no report needs whole CVE records.
-    assert calls == {"packages": 1, "versions": 1, "cve_years": 1}
+    # The CVE id -> year dict is built in one read of cves.ndjson for both CVE reports.
+    assert calls == {"packages": 1, "versions": 1, "cves": 1}
 
 
 @pytest.mark.parametrize("argv", [

@@ -208,15 +208,16 @@ def test_duplicate_and_bad_ids_rejected():
         {"id": "not-a-cve", "summary": "bad"},
         {"summary": "missing id"},
         "x",
+        {"id": "CVE-\u0662\u0660\u0661\u0669-\u0660\u0660\u0660\u0661"},  # Arabic-Indic digits
     ]
     text = "\n".join(json.dumps(e) for e in entries)
     rejects = []
     records = list(load_cves(io.StringIO(text), rejects=rejects.append))
     assert [r.cve_id for r in records] == ["CVE-2020-1111"]
     assert sorted(r["reason"] for r in rejects) == [
-        "bad_cve_id", "bad_cve_id", "duplicate_cve_id", "not_an_object"
+        "bad_cve_id", "bad_cve_id", "bad_cve_id", "duplicate_cve_id", "not_an_object"
     ]
-    assert len(records) + len(rejects) == 5
+    assert len(records) + len(rejects) == 6
 
 
 def test_lone_surrogates_reach_no_record_and_no_reject():
@@ -454,6 +455,7 @@ def test_load_versions():
         "Rubygems,rails,2,6.0.0,2019-08-16 00:00:00 UTC\n"
         "NPM,lodash,1,broken,not-a-date\n"
         "NPM,lodash,1,4.17.12\n"
+        "NPM,lodash,1,4.17.13,\u0662\u0660\u0661\u0669-\u0660\u0662-\u0660\u0663\n"
     )
     rejects = []
     records = list(load_versions(io.StringIO(text), rejects=rejects.append,
@@ -462,7 +464,7 @@ def test_load_versions():
     assert records[0].published == date(2019, 2, 3)
     assert records[1].platform == "Ruby"
     assert [(r["source"], r["row"], r["reason"]) for r in rejects] == [
-        ("versions", 3, "bad_date"), ("versions", 4, "field_count")
+        ("versions", 3, "bad_date"), ("versions", 4, "field_count"), ("versions", 5, "bad_date")
     ]
 
 
@@ -472,6 +474,7 @@ def test_parse_date():
     assert parse_date("") is None
     assert parse_date(None) is None
     assert parse_date("2019-13-40") is None
+    assert parse_date("\u0662\u0660\u0661\u0669-\u0660\u0667-\u0662\u0666") is None
 
 
 # -- indexes -------------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_cve_round_trip(tmp_path):
     undated = dated._replace(cve_id="CVE-2019-0002", published=None)
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.cves_path, (dated, undated))
-    loaded = ws.load_cves()
+    loaded = list(ws.load_cves())
     assert loaded == [dated, undated]
     assert loaded[0].cpes[1].product == "foo:bar"
     assert loaded[0].cpes[0].part is Part.APPLICATION
@@ -202,8 +202,8 @@ def test_report_readers_hold_no_records(tmp_path):
     assert report.rows == versions_per_year(versions).rows
     assert streamed * 100 < listed, (streamed, listed)
 
-    year_peak, years = _traced_peak(ws.load_cve_years)
-    cve_peak, loaded = _traced_peak(ws.load_cves)
+    year_peak, years = _traced_peak(lambda: {c.cve_id: c.year for c in ws.load_cves()})
+    cve_peak, loaded = _traced_peak(lambda: list(ws.load_cves()))
     assert loaded == cves
     assert years == {c.cve_id: c.year for c in cves}
     assert year_peak * 20 < cve_peak, (year_peak, cve_peak)

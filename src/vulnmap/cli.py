@@ -166,7 +166,7 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
         ("lookup", args.lookup),
         ("cve-fields", args.cve_fields),
     ):
-        # A directory would fail only mid-ingest, once earlier store files are rewritten.
+        # Checked before lock() creates the workspace, so the message names the flag.
         if path is not None and (not path.exists() or path.is_dir()):
             raise CommandError(f"cannot read --{label} input: {path}")
     aliases = _lookup(args).platform_aliases
@@ -351,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown report {args.report!r} (choose from {', '.join(ALL_REPORTS)} or 'all')",
             EXIT_USAGE,
         )
+    if args.command == "map" and args.mode is not None and args.strategy != "repository":
+        return _fail("--mode applies only to --strategy repository", EXIT_USAGE)
     workspace = store.Workspace(args.workspace)
     commands = {"ingest": cmd_ingest, "map": cmd_map, "report": cmd_report}
     try:

@@ -7,7 +7,6 @@ import gzip
 import json
 import re
 import zlib
-from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
@@ -109,14 +108,6 @@ class CveRecord(NamedTuple):
     def year(self) -> int:
         """Publication year, falling back to the year embedded in the id."""
         return int(self.cve_id.split("-")[1]) if self.published is None else self.published.year
-
-
-@dataclass
-class IndexSet:
-    """Package records by name and by repo_link, in source order; immutable once built."""
-
-    by_name: dict[str, list[PackageRecord]] = field(default_factory=dict)
-    by_repo_link: dict[str, list[PackageRecord]] = field(default_factory=dict)
 
 
 def parse_date(text) -> date | None:
@@ -520,13 +511,3 @@ def cve_products(cve: CveRecord) -> list[str]:
         if cpe.product not in ("*", "-") and cpe.product:
             seen.setdefault(cpe.product)
     return list(seen)
-
-
-def build_indexes(packages: list[PackageRecord]) -> IndexSet:
-    """Build the matcher lookup indexes; source order is preserved."""
-    indexes = IndexSet()
-    for pkg in packages:
-        indexes.by_name.setdefault(pkg.name, []).append(pkg)
-        if pkg.repo is not None:
-            indexes.by_repo_link.setdefault(pkg.repo.repo_link, []).append(pkg)
-    return indexes

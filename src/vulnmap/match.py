@@ -10,18 +10,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib.resources import files as resource_files
 from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .fuzzy import best_match
-from .ingest import (
-    CveRecord,
-    IndexSet,
-    PackageRecord,
-    build_indexes,
-    cve_products,
-    extract_repo_ref,
-)
+from .ingest import CveRecord, PackageRecord, cve_products, extract_repo_ref
 
 
 class Strategy(str, enum.Enum):
@@ -222,6 +216,32 @@ def _run_per_cve(
     return results
 
 
+def build_indexes(
+    packages: list[PackageRecord], key: Callable[[PackageRecord], str | None]
+) -> dict[str, list[PackageRecord]]:
+    """Group ``packages`` under ``key(pkg)`` in source order; a package keyed None is left out.
+
+    Each strategy builds the views it reads and drops them when it returns. It
+    calls this through the module global, so a wrapper set on
+    ``match.build_indexes`` sees every build.
+    """
+    groups: dict[str, list[PackageRecord]] = {}
+    for pkg in packages:
+        k = key(pkg)
+        if k is not None:
+            groups.setdefault(k, []).append(pkg)
+    return groups
+
+
+def _go_last_segment(pkg: PackageRecord) -> str | None:
+    """The last path segment of a Go module name with a path, else None."""
+    return pkg.name.rsplit("/", 1)[-1] if pkg.platform == "Go" and "/" in pkg.name else None
+
+
+def _repo_link(pkg: PackageRecord) -> str | None:
+    return None if pkg.repo is None else pkg.repo.repo_link
+
+
 def _cve_target_sw(cve: CveRecord) -> set[str]:
     return {c.target_sw for c in cve.cpes if c.target_sw not in ("*", "-") and c.target_sw}
 
@@ -230,7 +250,6 @@ def strict_name_map(
     packages: list[PackageRecord],
     cves: list[CveRecord],
     lookup: PlatformLookup,
-    indexes: IndexSet | None = None,
     go_last_segment: bool = False,
     tallies: dict | None = None,
 ) -> list[MappingResult]:
@@ -243,13 +262,8 @@ def strict_name_map(
     names (off by default: full-path Go names intentionally fail to match
     bare product names). ``tallies``, when given, receives the CVE counts.
     """
-    if indexes is None:
-        indexes = build_indexes(packages)
-    last_segment_view: dict[str, list[PackageRecord]] = {}  # empty unless go_last_segment
-    if go_last_segment:
-        for pkg in packages:
-            if pkg.platform == "Go" and "/" in pkg.name:
-                last_segment_view.setdefault(pkg.name.rsplit("/", 1)[-1], []).append(pkg)
+    by_name = build_indexes(packages, attrgetter("name"))
+    by_last_segment = build_indexes(packages, _go_last_segment) if go_last_segment else {}
 
     def per_cve(cve: CveRecord) -> list[MappingResult] | None:
         products = cve_products(cve)
@@ -260,7 +274,7 @@ def strict_name_map(
         out: list[MappingResult] = []
         seen: set[str] = set()
         for product in products:
-            hits = indexes.by_name.get(product, []) + last_segment_view.get(product, [])
+            hits = by_name.get(product, []) + by_last_segment.get(product, [])
             for key, platform, *_ in hits:
                 if key in seen:
                     continue
@@ -334,9 +348,7 @@ def partial_fuzzy_map(
     cutoff, at most one result per (CVE, product). ``tallies``, when given,
     receives the CVE counts including ``ambiguous_platform``.
     """
-    by_platform: dict[str, list[PackageRecord]] = {}
-    for pkg in packages:
-        by_platform.setdefault(pkg.platform, []).append(pkg)
+    by_platform = build_indexes(packages, attrgetter("platform"))
     # Built on the first CVE that infers the platform, kept for the rest of the call.
     haystacks: dict[str, tuple[str, list[int]]] = {}
     if tallies is not None:
@@ -390,7 +402,6 @@ def repository_map(
     packages: list[PackageRecord],
     cves: list[CveRecord],
     mode: str = "all",
-    indexes: IndexSet | None = None,
     tallies: dict | None = None,
 ) -> list[MappingResult]:
     """Match CVE reference links against package repo_links.
@@ -402,9 +413,7 @@ def repository_map(
     """
     if mode not in ("all", "first"):
         raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
-    if indexes is None:
-        indexes = build_indexes(packages)
-    by_repo_link = indexes.by_repo_link
+    by_repo_link = build_indexes(packages, _repo_link)
 
     def per_cve(cve: CveRecord) -> list[MappingResult] | None:
         links = extract_reference_links(cve)
@@ -447,12 +456,11 @@ def run_all(
     go_last_segment: bool = False,
 ) -> RunOutcome:
     """Run the selected strategies and return keyed results plus tallies."""
-    indexes = build_indexes(packages)
     runners = {
-        "strict": lambda t: strict_name_map(packages, cves, lookup, indexes, go_last_segment, t),
+        "strict": lambda t: strict_name_map(packages, cves, lookup, go_last_segment, t),
         "fuzzy": lambda t: partial_fuzzy_map(packages, cves, lookup, cutoff, t),
-        "repository_all": lambda t: repository_map(packages, cves, "all", indexes, t),
-        "repository_first": lambda t: repository_map(packages, cves, "first", indexes, t),
+        "repository_all": lambda t: repository_map(packages, cves, "all", t),
+        "repository_first": lambda t: repository_map(packages, cves, "first", t),
     }
     results: dict[str, list[MappingResult]] = {}
     tallies: dict = {}

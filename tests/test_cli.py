@@ -382,6 +382,20 @@ def test_map_repository_without_mode_runs_both(tmp_path, capsys):
     assert produced == ["mappings_repository_all.ndjson", "mappings_repository_first.ndjson"]
 
 
+@pytest.mark.parametrize("strategy", ["strict", "fuzzy", "all"])
+def test_map_mode_without_repository_strategy_is_usage_error(tmp_path, capsys, strategy):
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    before = workspace_bytes(ws)
+    code, out, err = run(capsys, "map", "--workspace", str(ws),
+                         "--strategy", strategy, "--mode", "first")
+    assert code == 2
+    assert out == ""
+    assert "--mode applies only to --strategy repository" in err
+    assert workspace_bytes(ws) == before
+
+
 def test_failed_map_leaves_the_mappings_unchanged(tmp_path, capsys, monkeypatch):
     ws = tmp_path / "ws"
     ingest(capsys, ws)

@@ -16,7 +16,6 @@ from vulnmap.ingest import (
     CsvStructure,
     JsonStructure,
     RepoRef,
-    build_indexes,
     extract_repo_ref,
     load_cves,
     load_packages,
@@ -475,33 +474,6 @@ def test_parse_date():
     assert parse_date(None) is None
     assert parse_date("2019-13-40") is None
     assert parse_date("\u0662\u0660\u0661\u0669-\u0660\u0667-\u0662\u0666") is None
-
-
-# -- indexes -------------------------------------------------------------------
-
-
-def test_build_indexes_shared_repo_preserves_source_order():
-    records, _ = read_small_packages()
-    indexes = build_indexes(records)
-    shared = indexes.by_repo_link["github.com/facebook/react"]
-    assert shared == [r for r in records if r.package_key in ("P002", "P003")]
-    # react before react-dom, as in the CSV
-    assert [p.package_key for p in shared] == ["P002", "P003"]
-
-
-def test_build_indexes_empty():
-    indexes = build_indexes([])
-    assert indexes.by_name == {}
-    assert indexes.by_repo_link == {}
-
-
-def test_build_indexes_key_count_matches_bruteforce():
-    with open(FIXTURES / "packages_oracle.csv", encoding="utf-8", newline="") as fh:
-        packages = list(load_packages(fh, platform_aliases=ALIASES))
-    indexes = build_indexes(packages)
-    assert len(indexes.by_name) == len({p.name for p in packages})
-    for name, pkgs in indexes.by_name.items():
-        assert pkgs == [p for p in packages if p.name == name]  # every record, in source order
 
 
 # -- streaming ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,10 @@ from vulnmap.match import (
     PlatformLookup,
     Strategy,
     _candidates,
+    _go_last_segment,
     _haystack,
+    _repo_link,
+    build_indexes,
     default_lookup_config,
     extract_reference_links,
     infer_platform,
@@ -42,6 +46,7 @@ from vulnmap.match import (
 )
 
 LOOKUP = default_lookup_config().lookup
+FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -68,6 +73,44 @@ def mk_cve(cve_id, summary="", refs=(), products=(), year=2019):
         published=date(year, 1, 1),
         cpes=cpes,
     )
+
+
+# -- package views ---------------------------------------------------------------
+
+VIEW_KEYS = {
+    "name": attrgetter("name"),
+    "platform": attrgetter("platform"),
+    "repo_link": _repo_link,
+    "go_last_segment": _go_last_segment,
+}
+
+
+def fixture_packages(name):
+    with open(FIXTURES / name, encoding="utf-8", newline="") as fh:
+        return list(load_packages(fh, platform_aliases={"rubygems": "Ruby"}))
+
+
+def test_build_indexes_shared_repo_preserves_source_order():
+    records = fixture_packages("packages_small.csv")
+    shared = build_indexes(records, _repo_link)["github.com/facebook/react"]
+    assert shared == [r for r in records if r.package_key in ("P002", "P003")]
+    # react before react-dom, as in the CSV
+    assert [p.package_key for p in shared] == ["P002", "P003"]
+
+
+def test_build_indexes_empty():
+    for key in VIEW_KEYS.values():
+        assert build_indexes([], key) == {}
+
+
+@pytest.mark.parametrize("key", VIEW_KEYS.values(), ids=VIEW_KEYS.keys())
+def test_build_indexes_key_count_matches_bruteforce(key):
+    packages = fixture_packages("packages_oracle.csv")
+    groups = build_indexes(packages, key)
+    assert None not in groups
+    assert set(groups) == {key(p) for p in packages} - {None}
+    for k, pkgs in groups.items():
+        assert pkgs == [p for p in packages if key(p) == k]  # every record, in source order
 
 
 # -- strict -------------------------------------------------------------------

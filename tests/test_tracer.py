@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` wraps module attributes after importing the CLI, so
 these checks fail if the CLI captures a report function or a store loader,
-or ``vulnmap.match`` captures ``best_match``, at import time instead of
-looking it up when it calls it.
+or ``vulnmap.match`` captures ``best_match`` or ``build_indexes``, at import
+time instead of looking it up when it calls it.
 """
 
 import json
@@ -49,5 +49,8 @@ def test_traced_map_times_fuzzy_scoring(tmp_path):
            "--packages", str(FIXTURES / "packages_small.csv"),
            "--cves", str(FIXTURES / "cves_small.ndjson"))
     trace = traced(tmp_path, "map", "--workspace", ws)
-    assert "match.fuzzy" in {span["name"] for span in trace["spans"]}
+    names = [span["name"] for span in trace["spans"]]
+    assert "match.fuzzy" in names
     assert trace["counts"].get("fuzzy.best_match", 0) >= 1
+    # One package view per strategy, each built through the wrapped match.build_indexes.
+    assert names.count("ingest.build_indexes") == 4

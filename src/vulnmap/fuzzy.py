@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SENTINEL = "-"
 
@@ -21,8 +21,7 @@ def normalize(s: str) -> str:
     return _NON_ALNUM.sub("-", s.lower()).strip("-")
 
 
-@dataclass
-class GramProfile:
+class GramProfile(NamedTuple):
     """Multiset of character n-grams of a normalized string."""
 
     grams: Counter

@@ -6,13 +6,12 @@ import enum
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib.resources import files as resource_files
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .fuzzy import best_match
 from .ingest import CveRecord, PackageRecord, cve_products, extract_repo_ref
@@ -35,14 +34,12 @@ FUZZY_SCORE = "fuzzy_score"
 STRATEGY_KEYS = ("strict", "fuzzy", "repository_all", "repository_first")
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     kind: str
     payload: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class MappingResult:
+class MappingResult(NamedTuple):
     strategy: Strategy
     cve_id: str
     package_key: str
@@ -51,19 +48,19 @@ class MappingResult:
     evidence: Evidence
 
 
-@dataclass(frozen=True)
 class PlatformLookup:
     """Per-platform inference tables: target_sw aliases, summary keywords, reference hosts."""
 
-    target_sw_aliases: dict[str, frozenset[str]]
-    summary_keywords: dict[str, frozenset[str]]
-    reference_hosts: dict[str, frozenset[str]]
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        target_sw_aliases: dict[str, frozenset[str]],
+        summary_keywords: dict[str, frozenset[str]],
+        reference_hosts: dict[str, frozenset[str]],
+    ):
         for label, table in (
-            ("target_sw", self.target_sw_aliases),
-            ("keywords", self.summary_keywords),
-            ("hosts", self.reference_hosts),
+            ("target_sw", target_sw_aliases),
+            ("keywords", summary_keywords),
+            ("hosts", reference_hosts),
         ):
             seen: dict[str, str] = {}
             for platform, tokens in table.items():
@@ -76,14 +73,16 @@ class PlatformLookup:
                             f"{seen[token]!r} and {platform!r}"
                         )
                     seen[token] = platform
+        self.target_sw_aliases = target_sw_aliases
+        self.summary_keywords = summary_keywords
+        self.reference_hosts = reference_hosts
 
 
-@dataclass(frozen=True)
-class LookupConfig:
+class LookupConfig(NamedTuple):
     """Contents of a lookup configuration file."""
 
     lookup: PlatformLookup
-    platform_aliases: dict[str, str] = field(default_factory=dict)
+    platform_aliases: dict[str, str]
 
 
 def _to_lookup_config(doc) -> LookupConfig:
@@ -134,16 +133,12 @@ def _keyword_pattern(keyword: str) -> re.Pattern:
     return re.compile(rf"(?<![0-9a-z]){re.escape(keyword)}(?![0-9a-z])")
 
 
-def _keyword_in_summary(keyword: str, summary_lower: str) -> bool:
-    return bool(_keyword_pattern(keyword).search(summary_lower))
-
-
 def _platform_hits(cve: CveRecord, lookup: PlatformLookup) -> set[str]:
     summary_lower = cve.summary.lower()
     refs_lower = [r.lower() for r in cve.references]
     hits: set[str] = set()
     for platform, keywords in lookup.summary_keywords.items():
-        if any(_keyword_in_summary(kw, summary_lower) for kw in keywords):
+        if any(_keyword_pattern(kw).search(summary_lower) for kw in keywords):
             hits.add(platform)
     for platform, hosts in lookup.reference_hosts.items():
         if any(host in ref for host in hosts for ref in refs_lower):
@@ -285,7 +280,7 @@ def strict_name_map(
                         (
                             kw
                             for kw in sorted(lookup.summary_keywords.get(platform, frozenset()))
-                            if _keyword_in_summary(kw, summary_lower)
+                            if _keyword_pattern(kw).search(summary_lower)
                         ),
                         None,
                     )
@@ -439,12 +434,12 @@ def repository_map(
     return _run_per_cve(per_cve, cves, tallies)
 
 
-@dataclass
 class RunOutcome:
     """Keyed result sets of one mapping run plus tally metadata."""
 
-    results: dict[str, list[MappingResult]]
-    tallies: dict
+    def __init__(self, results: dict[str, list[MappingResult]], tallies: dict):
+        self.results = results
+        self.tallies = tallies
 
 
 def run_all(

@@ -6,11 +6,9 @@ import csv
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .ingest import PackageRecord, VersionRecord
 from .match import MappingResult
@@ -26,19 +24,17 @@ class SinkWrite(OSError):
     """Writing a report to its sink failed."""
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     keys: tuple[str, ...]
     count: int
     share: Decimal | None = None
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     title: str
     group_columns: list[str]
     rows: list[ReportRow]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def _shares(counts: list[int]) -> list[Decimal]:
@@ -52,11 +48,12 @@ def _shares(counts: list[int]) -> list[Decimal]:
     total = sum(counts)
     if total == 0:
         return [Decimal("0.00") for _ in counts]
-    exact = [Fraction(c * 10000, total) for c in counts]
-    cents = [int(f) for f in exact]
+    # Every row's exact share is (c * 10000) / total: one denominator, so the
+    # integer remainders rank the rows as their fractional parts do.
+    cents = [c * 10000 // total for c in counts]
     remainders = sorted(
         range(len(counts)),
-        key=lambda i: (-(exact[i] - cents[i]), -counts[i], i),
+        key=lambda i: (-(counts[i] * 10000 % total), -counts[i], i),
     )
     for i in remainders[: 10000 - sum(cents)]:
         cents[i] += 1

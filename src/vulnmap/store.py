@@ -208,7 +208,8 @@ class Workspace:
             packages = [
                 PackageRecord(
                     key, shared(platform, platform), name, tuple(keywords),
-                    shared(license, license), repo and RepoRef(shared(repo[0], repo[0]), *repo[1:]),
+                    shared(license, license),
+                    None if repo is None else RepoRef(shared(repo[0], repo[0]), *repo[1:]),
                 )
                 for key, platform, name, keywords, license, repo in rows
             ]

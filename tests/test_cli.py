@@ -227,8 +227,8 @@ def _unknown_cpe_part(data: bytes) -> bytes:
     return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
 
 
-def _set_first_cve_field(field: int, value):
-    """A corruption that sets one field of the first CVE row."""
+def _set_first_row_field(field: int, value):
+    """A corruption that sets one field of the file's first row."""
     def corrupt(data: bytes) -> bytes:
         rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
         rows[0][field] = value
@@ -254,8 +254,9 @@ CORRUPT_STORES = {
     "cves-cut-at-line": ("cves.ndjson", _cut_at_line, ("map", "report")),
     "cpe-part-x": ("cves.ndjson", _unknown_cpe_part, ("map", "report")),
     "cpe-row-short": ("cves.ndjson", _short_cpe_row, ("map", "report")),
-    "cve-published-empty": ("cves.ndjson", _set_first_cve_field(3, ""), ("map", "report")),
-    "cve-id-bad": ("cves.ndjson", _set_first_cve_field(0, "CVE-x"), ("map", "report")),
+    "cve-published-empty": ("cves.ndjson", _set_first_row_field(3, ""), ("map", "report")),
+    "cve-id-bad": ("cves.ndjson", _set_first_row_field(0, "CVE-x"), ("map", "report")),
+    "package-repo-empty": ("packages.ndjson", _set_first_row_field(5, []), ("map", "report")),
 }
 
 
@@ -289,6 +290,8 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "ValueError: Invalid isoformat string: ''" in err
     if case == "cve-id-bad":
         assert "ValueError: bad CVE id 'CVE-x'" in err
+    if case == "package-repo-empty":
+        assert "IndexError: list index out of range" in err
 
 
 def test_corrupt_summary_exits_1(tmp_path, capsys):
@@ -755,3 +758,28 @@ def test_readme_flags_table_matches_parser(capsys):
     readme_flags = _readme_flags()
     assert parser_flags - readme_flags == set(), "flags missing from the README table"
     assert readme_flags - parser_flags == set(), "README flags the parser does not have"
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """Records are NamedTuples, so a command never imports dataclasses or inspect."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
+    script = (
+        "import sys; bare = set(sys.modules); import vulnmap.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "vulnmap.match" in added and "vulnmap.report" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
+    # The README promises immutable records.
+    evidence = vulnmap.Evidence(vulnmap.match.REPO_LINK, ("github.com/a/b",))
+    result = vulnmap.MappingResult(
+        vulnmap.Strategy.REPOSITORY, "CVE-2020-0001", "P1", "NPM", 1.0, evidence
+    )
+    for record, field in ((result, "platform"), (evidence, "kind"),
+                          (vulnmap.ReportRow(("NPM",), 1), "count")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")

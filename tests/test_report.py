@@ -3,6 +3,7 @@ import json
 import random
 from datetime import date
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,31 @@ def test_shares_random_sum_invariant():
         shares = _shares(counts)
         assert sum(shares) == Decimal("100.00")
         assert all(Decimal("0.00") <= s <= Decimal("100.00") for s in shares)
+
+
+def _reference_shares(counts: list[int]) -> list[Decimal]:
+    """Largest-remainder apportionment over exact fractions, ties by count then position."""
+    total = sum(counts)
+    if total == 0:
+        return [Decimal("0.00")] * len(counts)
+    exact = [Fraction(c * 10000, total) for c in counts]
+    cents = [int(f) for f in exact]
+    order = sorted(range(len(counts)), key=lambda i: (cents[i] - exact[i], -counts[i], i))
+    for i in order[: 10000 - sum(cents)]:
+        cents[i] += 1
+    return [Decimal(c).scaleb(-2) for c in cents]
+
+
+def test_shares_equal_fraction_reference_on_random_counts():
+    rng = random.Random(14)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        # Small values repeat counts, so rows tie on remainder and on count.
+        high = rng.choice((3, 50, 10_000, 10**9))
+        counts = [rng.randint(0, high) for _ in range(n)]
+        if rng.random() < 0.3:
+            counts = [counts[0]] * n
+        assert _shares(counts) == _reference_shares(counts), counts
 
 
 # -- platform share --------------------------------------------------------------

@@ -8,10 +8,10 @@ import re
 from bisect import bisect_right
 from functools import lru_cache
 from importlib.resources import files as resource_files
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .fuzzy import best_match
 from .ingest import CveRecord, PackageRecord, cve_products, extract_repo_ref
@@ -65,6 +65,8 @@ class PlatformLookup:
             seen: dict[str, str] = {}
             for platform, tokens in table.items():
                 for token in tokens:
+                    if not token:
+                        raise ValueError(f"{label} entries must not be empty")
                     if token != token.lower():
                         raise ValueError(f"{label} entry {token!r} must be lowercase")
                     if token in seen and seen[token] != platform:
@@ -89,12 +91,14 @@ def _to_lookup_config(doc) -> LookupConfig:
     """Build a LookupConfig from a parsed document; ValueError names a bad shape."""
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
-    platforms = doc.get("platforms") or {}
-    aliases = doc.get("platform_aliases") or {}
+    platforms = doc.get("platforms", {})
+    aliases = doc.get("platform_aliases", {})
     if not isinstance(platforms, dict) or not all(isinstance(e, dict) for e in platforms.values()):
         raise ValueError('"platforms" must map each platform to an object')
-    if not isinstance(aliases, dict) or not all(isinstance(v, str) for v in aliases.values()):
-        raise ValueError('"platform_aliases" must map each label to a platform string')
+    if not isinstance(aliases, dict) or not all(
+        k and v and isinstance(v, str) for k, v in aliases.items()
+    ):
+        raise ValueError('"platform_aliases" must map each non-empty label to a platform string')
 
     def table(key: str) -> dict[str, frozenset[str]]:
         out = {}
@@ -133,12 +137,18 @@ def _keyword_pattern(keyword: str) -> re.Pattern:
     return re.compile(rf"(?<![0-9a-z]){re.escape(keyword)}(?![0-9a-z])")
 
 
+def _summary_keyword(lookup: PlatformLookup, platform: str, summary_lower: str) -> str | None:
+    """The first of ``platform``'s keywords, in sorted order, that is a word of the summary."""
+    keywords = sorted(lookup.summary_keywords.get(platform, ()))
+    return next((kw for kw in keywords if _keyword_pattern(kw).search(summary_lower)), None)
+
+
 def _platform_hits(cve: CveRecord, lookup: PlatformLookup) -> set[str]:
     summary_lower = cve.summary.lower()
     refs_lower = [r.lower() for r in cve.references]
     hits: set[str] = set()
-    for platform, keywords in lookup.summary_keywords.items():
-        if any(_keyword_pattern(kw).search(summary_lower) for kw in keywords):
+    for platform in lookup.summary_keywords:
+        if _summary_keyword(lookup, platform, summary_lower) is not None:
             hits.add(platform)
     for platform, hosts in lookup.reference_hosts.items():
         if any(host in ref for host in hosts for ref in refs_lower):
@@ -182,23 +192,32 @@ def _result_sort_key(result: MappingResult):
 
 
 # Each strategy maps one CVE independently of all others: map per CVE, then
-# sort, so CVE input order can never change the output.
+# sort, so CVE input order can never change the output. A strategy's per-CVE
+# closure returns None for a skipped CVE, else its candidate matches in the
+# strategy's priority order; the runner keeps the first per package key.
 
-PerCve = Callable[[CveRecord], list[MappingResult] | None]
+Candidate = tuple[PackageRecord, float, Evidence]
+PerCve = Callable[[CveRecord], Iterable[Candidate] | None]
 
 
 def _run_per_cve(
-    per_cve: PerCve, cves: list[CveRecord], tallies: dict | None
+    strategy: Strategy, per_cve: PerCve, cves: list[CveRecord], tallies: dict | None
 ) -> list[MappingResult]:
-    """Map every CVE (None from ``per_cve`` counts as skipped), sort, fill ``tallies``."""
+    """Map every CVE, keep each package key's first candidate, sort, fill ``tallies``."""
     results: list[MappingResult] = []
     skipped = 0
     for cve in cves:
-        emitted = per_cve(cve)
-        if emitted is None:
+        candidates = per_cve(cve)
+        if candidates is None:
             skipped += 1
-        else:
-            results.extend(emitted)
+            continue
+        first: dict[str, Candidate] = {}
+        for candidate in candidates:
+            first.setdefault(candidate[0].package_key, candidate)
+        results.extend(
+            MappingResult(strategy, cve.cve_id, key, pkg.platform, confidence, evidence)
+            for key, (pkg, confidence, evidence) in first.items()
+        )
     results.sort(key=_result_sort_key)
     if tallies is not None:
         mapped = len({r.cve_id for r in results})
@@ -260,40 +279,22 @@ def strict_name_map(
     by_name = build_indexes(packages, attrgetter("name"))
     by_last_segment = build_indexes(packages, _go_last_segment) if go_last_segment else {}
 
-    def per_cve(cve: CveRecord) -> list[MappingResult] | None:
+    def per_cve(cve: CveRecord) -> list[Candidate] | None:
         products = cve_products(cve)
         if not products:
             return None
         targets = _cve_target_sw(cve)
         summary_lower = cve.summary.lower()
-        out: list[MappingResult] = []
-        seen: set[str] = set()
+        out: list[Candidate] = []
         for product in products:
-            hits = by_name.get(product, []) + by_last_segment.get(product, [])
-            for key, platform, *_ in hits:
-                if key in seen:
-                    continue
-                if lookup.target_sw_aliases.get(platform, frozenset()) & targets:
-                    evidence = Evidence(PRODUCT_NAME_EQUAL)
-                else:
-                    keyword = next(
-                        (
-                            kw
-                            for kw in sorted(lookup.summary_keywords.get(platform, frozenset()))
-                            if _keyword_pattern(kw).search(summary_lower)
-                        ),
-                        None,
-                    )
-                    if keyword is None:
-                        continue
-                    evidence = Evidence(SUMMARY_KEYWORD, (keyword,))
-                seen.add(key)
-                out.append(
-                    MappingResult(Strategy.STRICT_NAME, cve.cve_id, key, platform, 1.0, evidence)
-                )
+            for pkg in by_name.get(product, []) + by_last_segment.get(product, []):
+                if lookup.target_sw_aliases.get(pkg.platform, frozenset()) & targets:
+                    out.append((pkg, 1.0, Evidence(PRODUCT_NAME_EQUAL)))
+                elif (kw := _summary_keyword(lookup, pkg.platform, summary_lower)) is not None:
+                    out.append((pkg, 1.0, Evidence(SUMMARY_KEYWORD, (kw,))))
         return out
 
-    return _run_per_cve(per_cve, cves, tallies)
+    return _run_per_cve(Strategy.STRICT_NAME, per_cve, cves, tallies)
 
 
 def _haystack(pool: list[PackageRecord]) -> tuple[str, list[int]]:
@@ -349,7 +350,7 @@ def partial_fuzzy_map(
     if tallies is not None:
         tallies["ambiguous_platform"] = 0
 
-    def per_cve(cve: CveRecord) -> list[MappingResult] | None:
+    def per_cve(cve: CveRecord) -> list[Candidate] | None:
         # The package manager is assigned first; product matching follows.
         platform = infer_platform(cve, lookup, tallies)
         if platform is None:
@@ -361,36 +362,19 @@ def partial_fuzzy_map(
         if platform not in haystacks:
             haystacks[platform] = _haystack(pool)
         text, starts = haystacks[platform]
-        out: list[MappingResult] = []
-        seen: set[str] = set()
+        out: list[Candidate] = []
         for product in products:
             # First package in source order claims a shared (platform, name).
-            names: dict[str, str] = {}
+            names: dict[str, PackageRecord] = {}
             for pkg in _candidates(pool, text, starts, product):
-                names.setdefault(pkg.name, pkg.package_key)
-            if not names:
-                continue
-            chosen = best_match(product, sorted(names), cutoff)
-            if chosen is None:
-                continue
-            name, score = chosen
-            key = names[name]
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                MappingResult(
-                    Strategy.PARTIAL_FUZZY,
-                    cve.cve_id,
-                    key,
-                    platform,
-                    score,
-                    Evidence(FUZZY_SCORE, (product, name)),
-                )
-            )
+                names.setdefault(pkg.name, pkg)
+            chosen = best_match(product, sorted(names), cutoff) if names else None
+            if chosen is not None:
+                name, score = chosen
+                out.append((names[name], score, Evidence(FUZZY_SCORE, (product, name))))
         return out
 
-    return _run_per_cve(per_cve, cves, tallies)
+    return _run_per_cve(Strategy.PARTIAL_FUZZY, per_cve, cves, tallies)
 
 
 def repository_map(
@@ -410,28 +394,18 @@ def repository_map(
         raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
     by_repo_link = build_indexes(packages, _repo_link)
 
-    def per_cve(cve: CveRecord) -> list[MappingResult] | None:
+    def per_cve(cve: CveRecord) -> Iterable[Candidate] | None:
         links = extract_reference_links(cve)
         if not links:
             return None
-        out: list[MappingResult] = []
-        seen: set[str] = set()
-        for link in links:
-            for pkg in by_repo_link.get(link, ()):
-                if pkg.package_key in seen:
-                    continue
-                seen.add(pkg.package_key)
-                out.append(
-                    MappingResult(
-                        Strategy.REPOSITORY, cve.cve_id, pkg.package_key, pkg.platform, 1.0,
-                        Evidence(REPO_LINK, (link,)),
-                    )
-                )
-                if mode == "first":
-                    return out
-        return out
+        candidates = (
+            (pkg, 1.0, Evidence(REPO_LINK, (link,)))
+            for link in links
+            for pkg in by_repo_link.get(link, ())
+        )
+        return islice(candidates, 1 if mode == "first" else None)
 
-    return _run_per_cve(per_cve, cves, tallies)
+    return _run_per_cve(Strategy.REPOSITORY, per_cve, cves, tallies)
 
 
 class RunOutcome:

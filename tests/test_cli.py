@@ -734,6 +734,28 @@ def test_map_rejects_malformed_lookup_file(tmp_path, capsys):
     assert not list(ws.glob("mappings_*"))
 
 
+@pytest.mark.parametrize("section, entry", [("keywords", "npm"), ("hosts", "npmjs.com")])
+def test_map_rejects_empty_lookup_token(tmp_path, capsys, section, entry):
+    # An empty keyword or host would match every CVE; the default table plus
+    # one "" token is refused before any mapping is written.
+    ws = tmp_path / "ws"
+    ingest(capsys, ws)
+    default = Path(vulnmap.__file__).parent / "data" / "default_lookup.json"
+    doc = json.loads(default.read_text(encoding="utf-8"))
+    tokens = doc["platforms"]["NPM"][section]
+    assert entry in tokens
+    tokens.append("")
+    lookup = tmp_path / "lookup.json"
+    lookup.write_text(json.dumps(doc), encoding="utf-8")
+    before = workspace_bytes(ws)
+    code, _, err = run(capsys, "map", "--workspace", str(ws), "--strategy", "fuzzy",
+                       "--lookup", str(lookup))
+    assert code == 1
+    assert err.startswith("vulnmap: error: invalid lookup config")
+    assert f"{section} entries must not be empty" in err
+    assert workspace_bytes(ws) == before
+
+
 def _readme_flags() -> set[tuple[str, str]]:
     """(command, flag) pairs of the README flags table; "all" names every command."""
     text = README.read_text(encoding="utf-8")

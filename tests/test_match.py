@@ -499,6 +499,28 @@ def test_repository_first_subset_of_all_on_random_corpora():
         assert first <= all_links
 
 
+@pytest.mark.parametrize("strategy", ["strict", "repository_all"])
+def test_shared_package_key_goes_to_first_source_package(strategy):
+    # Two packages share one key on different platforms and both match the
+    # CVE: the one first in source order claims the key, with its evidence.
+    packages = [
+        mk_pkg("k1", "Pypi", "shared", repo_url="https://github.com/a/b"),
+        mk_pkg("k1", "NPM", "shared", repo_url="https://github.com/a/b"),
+    ]
+    cve = mk_cve("CVE-2019-0050", summary="a pypi flaw", refs=["https://github.com/a/b"],
+                 products=[("shared", "node.js")])
+    if strategy == "strict":
+        # Pypi passes on its summary keyword, NPM on its target_sw alias.
+        results = strict_name_map(packages, [cve], LOOKUP)
+        evidence = (SUMMARY_KEYWORD, ("pypi",))
+    else:
+        results = repository_map(packages, [cve], mode="all")
+        evidence = (REPO_LINK, ("github.com/a/b",))
+    assert [(r.package_key, r.platform, tuple(r.evidence)) for r in results] == [
+        ("k1", "Pypi", evidence),
+    ]
+
+
 # -- run_all -----------------------------------------------------------------------
 
 
@@ -628,6 +650,47 @@ def test_lookup_rejects_uppercase_tokens():
             summary_keywords={},
             reference_hosts={},
         )
+
+
+@pytest.mark.parametrize("table", ["target_sw_aliases", "summary_keywords", "reference_hosts"])
+def test_lookup_rejects_empty_tokens(table):
+    # An empty keyword is a word of every summary, an empty host part of every URL.
+    tables = {"target_sw_aliases": {}, "summary_keywords": {}, "reference_hosts": {}}
+    tables[table] = {"NPM": frozenset({"npm", ""})}
+    with pytest.raises(ValueError, match="must not be empty"):
+        PlatformLookup(**tables)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"platforms": {"NPM": {"keywords": ["npm", ""]}}}, "keywords entries must not be empty"),
+        ({"platforms": {"Pypi": {"hosts": [""]}}}, "hosts entries must not be empty"),
+        ({"platform_aliases": {"": "NPM"}}, '"platform_aliases" must map'),
+        ({"platform_aliases": {"Rubygems": ""}}, '"platform_aliases" must map'),
+        ({"platforms": []}, '"platforms" must map'),
+        ({"platforms": 0}, '"platforms" must map'),
+        ({"platforms": ""}, '"platforms" must map'),
+        ({"platform_aliases": []}, '"platform_aliases" must map'),
+        ({"platform_aliases": 0}, '"platform_aliases" must map'),
+        ({"platform_aliases": ""}, '"platform_aliases" must map'),
+    ],
+    ids=["empty-keyword", "empty-host", "empty-alias-label", "empty-alias-target",
+         "platforms-list", "platforms-zero", "platforms-string",
+         "aliases-list", "aliases-zero", "aliases-string"],
+)
+def test_lookup_rejects_empty_entries_and_non_object_sections(tmp_path, doc, message):
+    path = tmp_path / "lookup.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_lookup_config(path)
+
+
+def test_lookup_config_missing_sections_are_empty(tmp_path):
+    path = tmp_path / "lookup.json"
+    path.write_text("{}", encoding="utf-8")
+    config = load_lookup_config(path)
+    assert config.lookup.summary_keywords == {} and config.platform_aliases == {}
 
 
 def test_lookup_config_file(tmp_path):

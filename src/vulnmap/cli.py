@@ -33,7 +33,7 @@ class ReportSpec(NamedTuple):
 # Loaders and report functions are looked up when called, never captured here,
 # so wrappers installed on ``store.Workspace`` or ``vulnmap.report`` apply.
 SNAPSHOTS: dict[str, Callable] = {
-    "packages": lambda ws: ws.load_packages(),
+    "packages": lambda ws: rep.package_counts(ws.load_packages()),  # one pass, no list
     "versions": lambda ws: ws.load_versions(),  # a one-pass stream: one report reads it
     "cves": lambda ws: {c.cve_id: c.year for c in ws.load_cves()},  # no report reads more
     "mappings": lambda ws: {
@@ -175,40 +175,39 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     except (OSError, ValueError) as exc:
         raise CommandError(f"invalid --cve-fields file: {exc}") from None
 
-    rejects: list[dict] = []
+    reject_counts: dict[str, int] = {}
     tallies: dict = {}
     # Every store file is written to .staging and moved in only once all inputs have loaded.
     with workspace.lock():
-        with workspace.staging() as stage:
+        with workspace.staging() as stage, stage.ndjson_sink(stage.rejects_path) as write:
+            def reject(entry: dict) -> None:
+                """Write each reject as it arrives: a dump can hold millions."""
+                write(entry)
+                reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
             try:
                 with _open_input("packages", args.packages) as src:
                     records = ing.load_packages(
-                        src, rejects=rejects.append, platform_aliases=aliases
+                        src, rejects=reject, platform_aliases=aliases
                     )
                     package_count = stage.write_ndjson(stage.packages_path, records)
                 version_count = 0
                 if args.versions is not None:
                     with _open_input("versions", args.versions) as src:
                         records = ing.load_versions(
-                            src, rejects=rejects.append, platform_aliases=aliases
+                            src, rejects=reject, platform_aliases=aliases
                         )
                         version_count = stage.write_ndjson(stage.versions_path, records)
                 else:
                     stage.write_ndjson(stage.versions_path, ())
                 with _open_input("cves", args.cves) as src:
                     records = ing.load_cves(
-                        src, field_map=field_map, rejects=rejects.append, tallies=tallies
+                        src, field_map=field_map, rejects=reject, tallies=tallies
                     )
                     cve_count = stage.write_ndjson(stage.cves_path, records)
             except (ing.CsvStructure, ing.JsonStructure) as exc:
                 raise CommandError(str(exc)) from None
             except OSError as exc:
                 raise CommandError(f"cannot read input: {exc}") from None
-
-            stage.write_ndjson(stage.rejects_path, rejects)
-            reject_counts: dict[str, int] = {}
-            for entry in rejects:
-                reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
 
             inputs = {"packages": {"sha256": store.sha256_file(args.packages)}}
             if args.versions is not None:
@@ -219,7 +218,7 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
                 "packages": package_count,
                 "versions": version_count,
                 "cves": cve_count,
-                "rejects": {"total": len(rejects), **reject_counts},
+                "rejects": {"total": sum(reject_counts.values()), **reject_counts},
                 "malformed_cpes": tallies.get("malformed_cpes", 0),
                 "inputs": inputs,
                 "store_layout": store.STORE_LAYOUT,
@@ -237,7 +236,7 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     _require_store(workspace)
     lookup = _lookup(args).lookup
     with workspace.lock():
-        packages = workspace.load_packages()
+        packages = list(workspace.load_packages())
         cves = list(workspace.load_cves())
         summary = workspace.read_summary()
         outcome = run_all(

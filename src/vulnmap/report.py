@@ -104,35 +104,50 @@ def _top_k_rows(
     return rows, folded
 
 
-def platform_project_share(
-    packages: list[PackageRecord], top_k: int = DEFAULT_TOP_K_SHARE
-) -> Report:
+class PackageCounts(NamedTuple):
+    """Package counts per platform, per license (``""`` if none) and per repository link."""
+
+    platforms: Counter
+    licenses: Counter
+    repo_links: Counter
+
+
+def package_counts(packages: Iterable[PackageRecord]) -> PackageCounts:
+    """The three package reports' counts, in one pass over any package iterable."""
+    counts = PackageCounts(Counter(), Counter(), Counter())
+    platforms, licenses, repo_links = counts
+    for pkg in packages:
+        platforms[pkg.platform] += 1
+        licenses[pkg.license] += 1
+        if pkg.repo is not None:
+            repo_links[pkg.repo.repo_link] += 1
+    return counts
+
+
+def platform_project_share(counts: PackageCounts, top_k: int = DEFAULT_TOP_K_SHARE) -> Report:
     """Project counts and percentage shares of the top-k package managers."""
-    counter = Counter(pkg.platform for pkg in packages)
-    rows, aggregated = _top_k_rows(counter, top_k, shares=True)
+    rows, aggregated = _top_k_rows(counts.platforms, top_k, shares=True)
     return Report(
         title="Projects per package manager",
         group_columns=["platform"],
         rows=rows,
         metadata={
             "top_k": top_k,
-            "total_projects": sum(counter.values()),
+            "total_projects": sum(counts.platforms.values()),
             "aggregated_platforms": aggregated,
             "count_basis": "distinct package_key",
         },
     )
 
 
-def license_distribution(
-    packages: list[PackageRecord], top_k: int = DEFAULT_TOP_K_SHARE
-) -> Report:
+def license_distribution(counts: PackageCounts, top_k: int = DEFAULT_TOP_K_SHARE) -> Report:
     """License counts and shares; unlicensed packages are reported unranked.
 
     Shares are computed over licensed packages only, so the "(unspecified)"
     row carries a count but no share.
     """
-    counter = Counter(pkg.license for pkg in packages if pkg.license)
-    unspecified = sum(1 for pkg in packages if not pkg.license)
+    counter = counts.licenses.copy()  # ``counts`` is left as it was given
+    unspecified = counter.pop("", 0)
     rows, _ = _top_k_rows(counter, top_k, shares=True)
     if unspecified:
         rows.append(ReportRow(keys=(UNSPECIFIED_LABEL,), count=unspecified, share=None))
@@ -220,16 +235,13 @@ def mapped_cve_per_year(mappings: list[MappingResult], years: dict[str, int]) ->
     )
 
 
-def top_repo_links(
-    packages: list[PackageRecord], k: int = DEFAULT_TOP_K_RANKING
-) -> Report:
+def top_repo_links(counts: PackageCounts, k: int = DEFAULT_TOP_K_RANKING) -> Report:
     """The k most frequent repository links across packages."""
-    counter = Counter(pkg.repo.repo_link for pkg in packages if pkg.repo is not None)
     return Report(
         title="Most common repository links",
         group_columns=["repo_link"],
-        rows=_count_rows(counter, k),
-        metadata={"k": k, "distinct_links": len(counter)},
+        rows=_count_rows(counts.repo_links, k),
+        metadata={"k": k, "distinct_links": len(counts.repo_links)},
     )
 
 

@@ -16,7 +16,7 @@ import os
 import shutil
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cpe import _PARTS, CpeRecord
 from .ingest import _READ_CHARS, CVE_ID_RE, CveRecord, PackageRecord, RepoRef, VersionRecord
@@ -165,13 +165,17 @@ class Workspace:
 
     # -- ndjson -----------------------------------------------------------
 
+    @contextlib.contextmanager
+    def ndjson_sink(self, path: Path) -> Iterator[Callable[[object], object]]:
+        """Yield a function that writes one document to ``path`` as one line."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield lambda doc: fh.write(_dumps(doc) + "\n")
+
     def write_ndjson(self, path: Path, docs: Iterable) -> int:
         count = 0
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for doc in docs:
-                fh.write(_dumps(doc))
-                fh.write("\n")
-                count += 1
+        with self.ndjson_sink(path) as write:
+            for count, doc in enumerate(docs, 1):
+                write(doc)
         return count
 
     def read_ndjson(self, path: Path) -> Iterator:
@@ -202,19 +206,22 @@ class Workspace:
 
     # -- typed snapshots --------------------------------------------------
 
-    def load_packages(self) -> list[PackageRecord]:
+    def load_packages(self) -> Iterator[PackageRecord]:
+        """Yield the packages one at a time: ``report`` only counts them."""
         shared = {}.setdefault  # one string object per distinct platform, license and provider
+        read = 0
         with self._rows(self.packages_path) as rows:
-            packages = [
-                PackageRecord(
+            for read, (key, platform, name, keywords, license, repo) in enumerate(rows, 1):
+                # Chained: every type is the next one, and the last is str.
+                if not type(key) is type(platform) is type(name) is type(license) is str:
+                    raise TypeError(f"package {key!r} has a field that is not a string")
+                "".join(keywords)  # a TypeError unless every keyword is a str
+                yield PackageRecord(
                     key, shared(platform, platform), name, tuple(keywords),
                     shared(license, license),
                     None if repo is None else RepoRef(shared(repo[0], repo[0]), *repo[1:]),
                 )
-                for key, platform, name, keywords, license, repo in rows
-            ]
-        self._check_count(self.packages_path, len(packages))
-        return packages
+        self._check_count(self.packages_path, read)
 
     def load_versions(self) -> Iterator[VersionRecord]:
         """Yield the versions one at a time: a versions dump can hold tens of millions."""

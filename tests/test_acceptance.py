@@ -33,6 +33,7 @@ from vulnmap.report import (
     export_report,
     license_distribution,
     mapped_cve_per_year,
+    package_counts,
     platform_project_share,
     top_repo_links,
     versions_per_year,
@@ -234,7 +235,7 @@ def test_criterion_5_report_arithmetic():
         # Byte-identical export, twice, against the hand-written golden.
         for _ in range(2):
             out = io.StringIO()
-            export_report(platform_project_share(small), "csv", out)
+            export_report(platform_project_share(package_counts(small)), "csv", out)
             golden = (FIXTURES / "golden_platform_share.csv").read_text(encoding="utf-8")
             assert out.getvalue() == golden
 
@@ -243,7 +244,8 @@ def test_criterion_5_report_arithmetic():
         corpora.extend(random_corpus(rng, 50, 50) for _ in range(100))
         mapped_rows = 0
         for packages, cves in corpora:
-            for report in (platform_project_share(packages), license_distribution(packages)):
+            counts = package_counts(packages)
+            for report in (platform_project_share(counts), license_distribution(counts)):
                 shares = [r.share for r in report.rows if r.share is not None]
                 if shares:
                     assert abs(sum(shares) - Decimal("100.00")) <= Decimal("0.01")
@@ -291,20 +293,19 @@ def test_criterion_6_full_data_tables():
     with criterion(6, "January 2020 full-dump tables"):
         started = time.perf_counter()
         with open_text_auto(projects) as fh:
-            packages = list(load_packages(fh, platform_aliases=ALIASES))
-        share = platform_project_share(packages)
+            counts = package_counts(load_packages(fh, platform_aliases=ALIASES))
+        share = platform_project_share(counts)
         rows = {r.keys[0]: r for r in share.rows}
         for platform, (count, share_text) in TABLE_PROJECTS.items():
             assert rows[platform].count == count
             assert rows[platform].share == Decimal(share_text)
-        licenses = license_distribution(packages)
+        licenses = license_distribution(counts)
         mit = next(r for r in licenses.rows if r.keys[0] == "MIT")
         assert mit.count == 1637451
         assert mit.share == Decimal(TABLE_MIT_SHARE)
-        repo_report = top_repo_links(packages, k=10)
+        repo_report = top_repo_links(counts, k=10)
         top = {r.keys[0]: r.count for r in repo_report.rows}
         assert top[TABLE_TOP_REPO[0]] == TABLE_TOP_REPO[1]
-        del packages
         # The versions dump has tens of millions of rows: aggregate the stream.
         with open_text_auto(versions) as fh:
             report = versions_per_year(load_versions(fh, platform_aliases=ALIASES))

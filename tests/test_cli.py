@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -257,6 +258,10 @@ CORRUPT_STORES = {
     "cve-published-empty": ("cves.ndjson", _set_first_row_field(3, ""), ("map", "report")),
     "cve-id-bad": ("cves.ndjson", _set_first_row_field(0, "CVE-x"), ("map", "report")),
     "package-repo-empty": ("packages.ndjson", _set_first_row_field(5, []), ("map", "report")),
+    "package-key-list": ("packages.ndjson", _set_first_row_field(0, []), ("map",)),
+    "package-platform-null": ("packages.ndjson", _set_first_row_field(1, None), ("report",)),
+    "package-name-null": ("packages.ndjson", _set_first_row_field(2, None), ("map",)),
+    "package-keyword-int": ("packages.ndjson", _set_first_row_field(3, [1]), ("map",)),
 }
 
 
@@ -292,6 +297,10 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "ValueError: bad CVE id 'CVE-x'" in err
     if case == "package-repo-empty":
         assert "IndexError: list index out of range" in err
+    if case in ("package-key-list", "package-platform-null", "package-name-null"):
+        assert "has a field that is not a string" in err
+    if case == "package-keyword-int":
+        assert "TypeError: sequence item 0: expected str instance, int found" in err
 
 
 def test_corrupt_summary_exits_1(tmp_path, capsys):
@@ -302,6 +311,33 @@ def test_corrupt_summary_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "map", "--workspace", str(ws))
     assert code == 1 and out == ""
     assert err.startswith(f"vulnmap: error: corrupt store file {summary}: ")
+
+
+def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys):
+    # 4000 good rows put both inputs past the 1 MiB block sha256_file reads,
+    # so the two runs differ only in their rejects (an empty platform each).
+    header = "ID,Platform,Name,Homepage URL,Repository URL,Keywords,Licenses\n"
+    good = "".join(f"P{i},NPM,n{i},https://example.org/{'x' * 250},https://github.com/o/r,,MIT\n"
+                   for i in range(4000))
+    peaks, sizes = {}, {}
+    for bad in (1000, 8000):
+        packages = tmp_path / f"packages_{bad}.csv"
+        packages.write_text(header + good + "".join(
+            f'X{i},,n{i},https://example.org/{i},https://github.com/o/r{i},"a,b",MIT\n'
+            for i in range(bad)), encoding="utf-8")
+        ws = tmp_path / f"ws_{bad}"
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            code, out, _ = ingest(capsys, ws, str(packages))
+            peaks[bad] = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["rejects"] == {"total": bad, "packages": bad}
+        sizes[bad] = (ws / "rejects.ndjson").stat().st_size
+    # Holding the rejects until the end costs several times their encoded size.
+    assert peaks[8000] - peaks[1000] < (sizes[8000] - sizes[1000]) / 10, (peaks, sizes)
 
 
 # Each case: CVE fields holding a lone surrogate, which json.dumps writes as an escape.

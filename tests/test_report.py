@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import random
+from collections import Counter
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
@@ -20,6 +22,7 @@ from vulnmap.report import (
     export_report,
     license_distribution,
     mapped_cve_per_year,
+    package_counts,
     platform_project_share,
     top_repo_links,
     versions_per_year,
@@ -112,7 +115,7 @@ def test_shares_equal_fraction_reference_on_random_counts():
 def test_platform_share_arithmetic():
     packages = [mk_pkg(f"p{i}", "A", f"a{i}") for i in range(3)]
     packages.append(mk_pkg("p9", "B", "b0"))
-    report = platform_project_share(packages)
+    report = platform_project_share(package_counts(packages))
     assert [(r.keys, r.count, r.share) for r in report.rows] == [
         (("A",), 3, Decimal("75.00")),
         (("B",), 1, Decimal("25.00")),
@@ -124,7 +127,7 @@ def test_platform_share_others_bucket():
     counts = {f"P{i:02d}": 12 - i for i in range(10)}  # P00:12 ... P09:3
     for platform, n in counts.items():
         packages.extend(mk_pkg(f"{platform}-{j}", platform, f"n{j}") for j in range(n))
-    report = platform_project_share(packages, top_k=7)
+    report = platform_project_share(package_counts(packages), top_k=7)
     labels = [r.keys[0] for r in report.rows]
     assert labels == [f"P{i:02d}" for i in range(7)] + ["Others"]
     # Bottom three platforms: 5 + 4 + 3.
@@ -133,7 +136,7 @@ def test_platform_share_others_bucket():
 
 
 def test_platform_share_fixture_golden_bytes():
-    report = platform_project_share(small_packages())
+    report = platform_project_share(package_counts(small_packages()))
     out = io.StringIO()
     export_report(report, "csv", out)
     golden = (FIXTURES / "golden_platform_share.csv").read_text(encoding="utf-8")
@@ -142,7 +145,7 @@ def test_platform_share_fixture_golden_bytes():
 
 def test_platform_share_no_others_when_few_platforms():
     packages = [mk_pkg("p1", "A", "x"), mk_pkg("p2", "B", "y")]
-    report = platform_project_share(packages, top_k=7)
+    report = platform_project_share(package_counts(packages), top_k=7)
     assert [r.keys[0] for r in report.rows] == ["A", "B"]
 
 
@@ -156,7 +159,7 @@ def test_license_tie_broken_lexicographically():
         mk_pkg("p3", "A", "c", license="GPL-3.0"),
         mk_pkg("p4", "A", "d", license="GPL-3.0"),
     ]
-    report = license_distribution(packages)
+    report = license_distribution(package_counts(packages))
     assert [(r.keys[0], r.count, r.share) for r in report.rows] == [
         ("GPL-3.0", 2, Decimal("50.00")),
         ("MIT", 2, Decimal("50.00")),
@@ -168,7 +171,7 @@ def test_license_unspecified_row_not_ranked():
         mk_pkg("p1", "A", "a", license="MIT"),
         mk_pkg("p2", "A", "b", license=""),
     ]
-    report = license_distribution(packages)
+    report = license_distribution(package_counts(packages))
     assert report.rows[0] == ReportRow(("MIT",), 1, Decimal("100.00"))
     assert report.rows[1] == ReportRow(("(unspecified)",), 1, None)
     # Shares over licensed packages only still sum to 100.
@@ -176,11 +179,32 @@ def test_license_unspecified_row_not_ranked():
 
 
 def test_license_fixture_golden_bytes():
-    report = license_distribution(small_packages())
+    report = license_distribution(package_counts(small_packages()))
     out = io.StringIO()
     export_report(report, "csv", out)
     golden = (FIXTURES / "golden_license_distribution.csv").read_text(encoding="utf-8")
     assert out.getvalue() == golden
+
+
+# -- package counts ----------------------------------------------------------------
+
+
+def test_package_counts_fold_any_iterable():
+    packages = small_packages()
+    counts = package_counts(iter(packages))
+    assert counts == package_counts(packages)
+    assert counts.platforms == Counter(p.platform for p in packages)
+    assert counts.licenses == Counter(p.license for p in packages)
+    assert counts.licenses[""] == 4
+    assert counts.repo_links == Counter(p.repo.repo_link for p in packages if p.repo)
+
+
+@pytest.mark.parametrize("build", [platform_project_share, license_distribution, top_repo_links])
+def test_package_reports_leave_their_counts_unchanged(build):
+    counts = package_counts(small_packages())
+    before = copy.deepcopy(counts)
+    assert build(counts) == build(counts)
+    assert counts == before
 
 
 # -- versions per year ---------------------------------------------------------------
@@ -304,10 +328,11 @@ def test_top_repo_links_counts_and_clamp():
         for i in range(4)
     ]
     packages.append(mk_pkg("p9", "NPM", "solo", repo_url="https://github.com/solo/solo"))
-    report = top_repo_links(packages, k=10)
+    counts = package_counts(packages)
+    report = top_repo_links(counts, k=10)
     assert report.rows[0] == ReportRow(("github.com/big/mono",), 4)
     assert len(report.rows) == 2  # k larger than distinct links: all returned
-    report_k1 = top_repo_links(packages, k=1)
+    report_k1 = top_repo_links(counts, k=1)
     assert len(report_k1.rows) == 1
 
 
@@ -354,12 +379,12 @@ def test_export_rejects_unknown_format():
 
 
 def test_export_byte_identical_across_runs(tmp_path):
-    packages = small_packages()
+    counts = package_counts(small_packages())
     for fmt in ("csv", "json"):
         a = tmp_path / f"a.{fmt}"
         b = tmp_path / f"b.{fmt}"
-        export_report(platform_project_share(packages), fmt, a)
-        export_report(platform_project_share(packages), fmt, b)
+        export_report(platform_project_share(counts), fmt, a)
+        export_report(platform_project_share(counts), fmt, b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -367,7 +392,7 @@ def test_ranked_rows_sorted_by_count_then_key():
     rng = random.Random(321)
     for _ in range(20):
         packages, _ = random_corpus(rng, 50, 5)
-        report = platform_project_share(packages, top_k=3)
+        report = platform_project_share(package_counts(packages), top_k=3)
         ranked = [r for r in report.rows if r.keys[0] != "Others"]
         ordered = sorted(ranked, key=lambda r: (-r.count, r.keys))
         assert ranked == ordered

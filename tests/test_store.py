@@ -15,7 +15,7 @@ from test_match import mk_cve, mk_pkg
 from vulnmap.cpe import CpeRecord, Part
 from vulnmap.ingest import _READ_CHARS, RepoRef, VersionRecord, load_cves, load_packages
 from vulnmap.match import default_lookup_config, run_all
-from vulnmap.report import cve_per_year, versions_per_year
+from vulnmap.report import cve_per_year, package_counts, versions_per_year
 from vulnmap.store import Workspace, WorkspaceLocked, mapping_from_dict, mapping_to_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,7 +27,7 @@ def test_package_round_trip(tmp_path):
     without_repo = mk_pkg("p2", "Pypi", "requests")
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.packages_path, (with_repo, without_repo))
-    assert ws.load_packages() == [with_repo, without_repo]
+    assert list(ws.load_packages()) == [with_repo, without_repo]
 
 
 def test_cve_round_trip(tmp_path):
@@ -66,7 +66,7 @@ def test_workspace_snapshots(tmp_path):
     packages = [mk_pkg("p1", "NPM", "lodash"), mk_pkg("p2", "Pypi", "requests")]
     count = ws.write_ndjson(ws.packages_path, packages)
     assert count == 2
-    assert ws.load_packages() == packages
+    assert list(ws.load_packages()) == packages
     assert list(ws.load_versions()) == []  # file absent
     ws.write_summary({"packages": 2})
     assert ws.read_summary() == {"packages": 2}
@@ -143,7 +143,7 @@ def test_block_reader_agrees_with_per_line_decoding(tmp_path):
     ws.packages_path.write_text(text, encoding="utf-8")
     reference = [json.loads(line) for line in text.split("\n") if line.strip()]
     assert list(ws.read_ndjson(ws.packages_path)) == reference
-    assert ws.load_packages() == packages
+    assert list(ws.load_packages()) == packages
 
 
 def test_loaded_records_hold_parts_and_tuples(tmp_path):
@@ -176,10 +176,17 @@ def _traced_peak(fn):
 
 
 def test_report_readers_hold_no_records(tmp_path):
-    # What report reads of versions.ndjson and cves.ndjson peaks at a few blocks
-    # of lines, not at the record list a full load builds.
+    # What report reads of packages.ndjson, versions.ndjson and cves.ndjson peaks
+    # at a few blocks of lines, not at the record list a full load builds.
     ws = Workspace(tmp_path).ensure()
     platforms = ("NPM", "Pypi", "Maven", "Go")
+    licenses = ("MIT", "Apache-2.0", "")
+    with open(ws.packages_path, "w", encoding="utf-8") as fh:
+        fh.writelines(  # 160 distinct repository links: the counters stay small
+            f'["P{i}", "{platforms[i % 4]}", "name-{i}", ["kw{i % 7}"], "{licenses[i % 3]}", '
+            + ("null]\n" if i % 5 == 0 else f'["github.com", "o{i % 40}", "r{i % 25}"]]\n')
+            for i in range(100_000)
+        )
     with open(ws.versions_path, "w", encoding="utf-8") as fh:
         fh.writelines(
             f'["P{i % 9000}", "{platforms[i % 4]}", "1.{i}.0", "20{10 + i % 10}-0{1 + i % 9}-01"]\n'
@@ -191,7 +198,16 @@ def test_report_readers_hold_no_records(tmp_path):
         for i in range(1000)
     ]
     ws.write_ndjson(ws.cves_path, cves)
-    ws.write_summary({"versions": 200_000, "cves": len(cves)})
+    ws.write_summary({"packages": 100_000, "versions": 200_000, "cves": len(cves)})
+
+    folded, counts = _traced_peak(lambda: package_counts(ws.load_packages()))
+    packages = list(ws.load_packages())
+    listed = sys.getsizeof(packages) + sum(sys.getsizeof(p) + sum(map(sys.getsizeof, p))
+                                           for p in packages)
+    assert len(packages) == sum(counts.platforms.values()) == 100_000
+    assert counts == package_counts(packages)
+    assert len(counts.repo_links) == 160
+    assert folded * 100 < listed, (folded, listed)
 
     streamed, report = _traced_peak(lambda: versions_per_year(ws.load_versions()))
     versions = list(ws.load_versions())

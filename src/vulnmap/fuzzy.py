@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from itertools import repeat
 from typing import NamedTuple
 
 SENTINEL = "-"
@@ -29,6 +30,12 @@ class GramProfile(NamedTuple):
     source: str
 
 
+def _grams(norm: str, gram_size: int) -> list[str]:
+    """The n-grams of a normalized string padded with one sentinel per side, in order."""
+    padded = SENTINEL + norm + SENTINEL
+    return [padded[i : i + gram_size] for i in range(len(padded) - gram_size + 1)]
+
+
 def gram_profile(s: str, gram_size: int = 3) -> GramProfile:
     """Build the n-gram profile of a string padded with one sentinel per side."""
     if gram_size < 2:
@@ -36,10 +43,7 @@ def gram_profile(s: str, gram_size: int = 3) -> GramProfile:
     norm = normalize(s)
     if not norm:
         raise EmptyInput(f"no alphanumeric content in {s!r}")
-    padded = SENTINEL + norm + SENTINEL
-    grams = Counter(
-        padded[i : i + gram_size] for i in range(len(padded) - gram_size + 1)
-    )
+    grams = Counter(_grams(norm, gram_size))
     magnitude = math.sqrt(sum(c * c for c in grams.values()))
     return GramProfile(grams=grams, magnitude=magnitude, source=norm)
 
@@ -62,12 +66,21 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _cosine(pa: GramProfile, pb: GramProfile) -> float:
-    small, large = (pa.grams, pb.grams) if len(pa.grams) <= len(pb.grams) else (pb.grams, pa.grams)
-    dot = sum(count * large[gram] for gram, count in small.items())
+def _cosine_to(profile: GramProfile, grams: list[str]) -> float:
+    """Cosine between ``profile`` and the multiset ``grams``, with no profile built for it.
+
+    The dot product and the squared magnitude are exact ints, so the result
+    equals the cosine of the two profiles bit for bit. Without a repeated
+    gram the squared magnitude is the gram count.
+    """
+    dot = sum(map(profile.grams.get, grams, repeat(0)))
     if dot == 0:
         return 0.0
-    return dot / (pa.magnitude * pb.magnitude)
+    if len(set(grams)) == len(grams):
+        squares = len(grams)
+    else:
+        squares = sum(c * c for c in Counter(grams).values())
+    return dot / (profile.magnitude * math.sqrt(squares))
 
 
 def similarity(a: str, b: str) -> float:
@@ -81,9 +94,9 @@ def similarity(a: str, b: str) -> float:
     nb = normalize(b)
     if not na or not nb:
         raise EmptyInput(f"cannot compare {a!r} and {b!r}")
-    cos = _cosine(gram_profile(na, 3), gram_profile(nb, 3))
+    cos = _cosine_to(gram_profile(na, 3), _grams(nb, 3))
     if cos == 0.0:
-        cos = _cosine(gram_profile(na, 2), gram_profile(nb, 2))
+        cos = _cosine_to(gram_profile(na, 2), _grams(nb, 2))
     edit = 1.0 - levenshtein(na, nb) / max(len(na), len(nb))
     return min(1.0, max(cos, edit, 0.0))
 
@@ -95,13 +108,14 @@ def best_match(
 
     Ties are broken by shortest candidate, then lexicographic order. Scores
     equal ``similarity(query, cand)`` bit for bit, with the query normalized
-    and profiled once. The edit distance is at least the length difference,
-    so the edit similarity is at most ``bound = 1 - |len(nq) - len(nc)| /
-    max(len(nq), len(nc))``; IEEE division and subtraction are monotone, so
-    the floats obey it too. A candidate is skipped when ``max(cos, bound)``
-    is below the cutoff or strictly below the best score so far, since it
-    cannot be chosen, and ``levenshtein`` runs only when the bound exceeds
-    the cosine, since otherwise the score is the cosine.
+    and profiled once and each candidate scored from its gram list. The edit
+    distance is at least the length difference, so the edit similarity is at
+    most ``bound = 1 - |len(nq) - len(nc)| / max(len(nq), len(nc))``; IEEE
+    division and subtraction are monotone, so the floats obey it too. A
+    candidate is skipped when ``max(cos, bound)`` is below the cutoff or
+    strictly below the best score so far, since it cannot be chosen, and
+    ``levenshtein`` runs only when the bound exceeds the cosine, since
+    otherwise the score is the cosine.
     """
     try:
         pq = gram_profile(query, 3)
@@ -112,16 +126,14 @@ def best_match(
     best_key: tuple[float, int, str] | None = None
     best: tuple[str, float] | None = None
     for cand in candidates:
-        try:
-            pc = gram_profile(cand, 3)
-        except EmptyInput:
+        nc = normalize(cand)
+        if not nc:
             continue
-        nc = pc.source
-        cos = _cosine(pq, pc)
+        cos = _cosine_to(pq, _grams(nc, 3))
         if cos == 0.0:
             if pq2 is None:
                 pq2 = gram_profile(nq, 2)
-            cos = _cosine(pq2, gram_profile(nc, 2))
+            cos = _cosine_to(pq2, _grams(nc, 2))
         longest = max(len(nq), len(nc))
         bound = 1.0 - abs(len(nq) - len(nc)) / longest
         upper = max(cos, bound)

@@ -301,10 +301,13 @@ def _haystack(pool: list[PackageRecord]) -> tuple[str, list[int]]:
     """One text of each package's name and keywords, each followed by "\\0", in source order.
 
     Returns the text and the start offset of each package in it, followed by
-    the text's length.
+    the text's length. It is joined from the packages' own strings, so no
+    per-package string is built.
     """
-    segments = ["\0".join((pkg.name, *pkg.keywords)) + "\0" for pkg in pool]
-    return "".join(segments), list(accumulate(map(len, segments), initial=0))
+    fields = [s for pkg in pool for s in (pkg.name, *pkg.keywords)]
+    fields.append("")  # the "\0" after the last package
+    sizes = (len(pkg.name) + sum(map(len, pkg.keywords)) + len(pkg.keywords) + 1 for pkg in pool)
+    return "\0".join(fields), list(accumulate(sizes, initial=0))
 
 
 def _candidates(
@@ -347,6 +350,9 @@ def partial_fuzzy_map(
     by_platform = build_indexes(packages, attrgetter("platform"))
     # Built on the first CVE that infers the platform, kept for the rest of the call.
     haystacks: dict[str, tuple[str, list[int]]] = {}
+    # The pool is fixed for the call, so each (platform, product) is decided once:
+    # the chosen package, its name and score, or None.
+    decided: dict[tuple[str, str], tuple[PackageRecord, str, float] | None] = {}
     if tallies is not None:
         tallies["ambiguous_platform"] = 0
 
@@ -364,14 +370,16 @@ def partial_fuzzy_map(
         text, starts = haystacks[platform]
         out: list[Candidate] = []
         for product in products:
-            # First package in source order claims a shared (platform, name).
-            names: dict[str, PackageRecord] = {}
-            for pkg in _candidates(pool, text, starts, product):
-                names.setdefault(pkg.name, pkg)
-            chosen = best_match(product, sorted(names), cutoff) if names else None
-            if chosen is not None:
-                name, score = chosen
-                out.append((names[name], score, Evidence(FUZZY_SCORE, (product, name))))
+            if (platform, product) not in decided:
+                # First package in source order claims a shared (platform, name).
+                names: dict[str, PackageRecord] = {}
+                for pkg in _candidates(pool, text, starts, product):
+                    names.setdefault(pkg.name, pkg)
+                chosen = best_match(product, sorted(names), cutoff) if names else None
+                decided[platform, product] = None if chosen is None else (names[chosen[0]], *chosen)
+            if (decision := decided[platform, product]) is not None:
+                pkg, name, score = decision
+                out.append((pkg, score, Evidence(FUZZY_SCORE, (product, name))))
         return out
 
     return _run_per_cve(Strategy.PARTIAL_FUZZY, per_cve, cves, tallies)

@@ -239,6 +239,9 @@ class Workspace:
             for read, (cve_id, summary, references, published, cpes) in enumerate(rows, 1):
                 if not CVE_ID_RE.match(cve_id):  # ingest writes no other; .year reads it
                     raise ValueError(f"bad CVE id {cve_id!r}")
+                if type(summary) is not str:  # the matchers lowercase it
+                    raise TypeError(f"CVE {cve_id} has a summary that is not a string")
+                "".join(references)  # a TypeError unless every reference is a str
                 for c in cpes:  # a freshly decoded list: swap in its Part without an enum call
                     c[0] = _PARTS[c[0]]
                 yield CveRecord(

@@ -257,6 +257,8 @@ CORRUPT_STORES = {
     "cpe-row-short": ("cves.ndjson", _short_cpe_row, ("map", "report")),
     "cve-published-empty": ("cves.ndjson", _set_first_row_field(3, ""), ("map", "report")),
     "cve-id-bad": ("cves.ndjson", _set_first_row_field(0, "CVE-x"), ("map", "report")),
+    "cve-summary-null": ("cves.ndjson", _set_first_row_field(1, None), ("map", "report")),
+    "cve-reference-int": ("cves.ndjson", _set_first_row_field(2, [1]), ("map", "report")),
     "package-repo-empty": ("packages.ndjson", _set_first_row_field(5, []), ("map", "report")),
     "package-key-list": ("packages.ndjson", _set_first_row_field(0, []), ("map",)),
     "package-platform-null": ("packages.ndjson", _set_first_row_field(1, None), ("report",)),
@@ -295,6 +297,10 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "ValueError: Invalid isoformat string: ''" in err
     if case == "cve-id-bad":
         assert "ValueError: bad CVE id 'CVE-x'" in err
+    if case == "cve-summary-null":
+        assert "has a summary that is not a string" in err
+    if case == "cve-reference-int":
+        assert "TypeError: sequence item 0: expected str instance, int found" in err
     if case == "package-repo-empty":
         assert "IndexError: list index out of range" in err
     if case in ("package-key-list", "package-platform-null", "package-name-null"):

@@ -5,7 +5,16 @@ from collections import Counter
 
 import pytest
 
-from vulnmap.fuzzy import EmptyInput, best_match, gram_profile, levenshtein, normalize, similarity
+from vulnmap.fuzzy import (
+    EmptyInput,
+    _cosine_to,
+    _grams,
+    best_match,
+    gram_profile,
+    levenshtein,
+    normalize,
+    similarity,
+)
 
 # Independent reference implementation of the same scoring formula, kept
 # deliberately different in style (dict-of-counts cosine, full-matrix DP).
@@ -131,6 +140,27 @@ def test_similarity_properties_10k():
         assert s_ab == similarity(b, a)
         assert similarity(a, a) == 1.0
         assert s_ab == pytest.approx(_ref_similarity(a, b), abs=1e-12)
+
+
+COSINE_PAIRS = [
+    ("aaaa", "aaaa"),  # grams repeat on both sides
+    ("aaaa", "aaa"),
+    ("abab-abab", "abab"),
+    ("abab", "abab-abab"),  # a candidate whose grams repeat
+    ("abab-abab", "lodash"),
+    ("lodash", "lodash-es"),  # no gram repeats
+    ("react", "create-react-app"),
+    ("gin", "github.com/gin-gonic/gin"),
+    ("xyz", "lodash"),  # a zero dot product
+    ("qq", "aaaa"),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a, b", COSINE_PAIRS)
+def test_cosine_to_equals_reference_bit_for_bit(a, b, n):
+    got = _cosine_to(gram_profile(a, n), _grams(normalize(b), n))
+    assert got.hex() == _ref_cosine(normalize(a), normalize(b), n).hex()
 
 
 def test_levenshtein_agrees_with_reference():

@@ -1,6 +1,7 @@
 import json
 import random
 from datetime import date
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from helpers import (
     random_corpus,
 )
 from vulnmap.cpe import parse_cpe23
-from vulnmap.fuzzy import similarity
+from vulnmap.fuzzy import best_match, similarity
 from vulnmap.ingest import (
     CveRecord,
     PackageRecord,
@@ -295,6 +296,24 @@ def test_candidate_search_equals_scan(case):
     assert search_candidates(pool, product) == scan_candidates(pool, product)
 
 
+def test_haystack_equals_per_package_segments_on_random_pools():
+    # The construction _haystack replaced: one joined segment per package.
+    rng = random.Random(1717)
+    alphabet = "ab\0é😀"
+
+    def word(low):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(low, 5)))
+
+    for _ in range(200):
+        pool = [
+            mk_pkg(f"k{i}", "NPM", word(0), [word(0) for _ in range(rng.choice((0, 0, 1, 3)))])
+            for i in range(rng.randint(0, 10))
+        ]
+        segments = ["\0".join((pkg.name, *pkg.keywords)) + "\0" for pkg in pool]
+        expected = "".join(segments), list(accumulate(map(len, segments), initial=0))
+        assert _haystack(pool) == expected
+
+
 def test_candidate_search_equals_scan_on_random_pools():
     # A four-letter alphabet, "\0" and non-ASCII included, so that 1-2
     # character products hit often, and across separators too.
@@ -351,6 +370,39 @@ def test_fuzzy_empty_pool_and_keyword_claimed_shared_name():
     ]
     results = partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.0)
     assert [(r.cve_id, r.package_key) for r in results] == [("CVE-2019-0030", "p2")]
+
+
+def test_fuzzy_decides_each_platform_product_once(monkeypatch):
+    packages = [
+        mk_pkg("n1", "NPM", "lodash"),
+        mk_pkg("n2", "NPM", "lodash-es"),
+        mk_pkg("n3", "NPM", "dashboard", keywords=("lodash",)),
+        mk_pkg("p1", "Pypi", "pylodash"),
+        mk_pkg("n4", "NPM", "react"),
+    ]
+    cves = [
+        mk_cve("CVE-2019-0040", summary="npm advisory", products=[("lodash", "*")]),
+        mk_cve("CVE-2019-0041", summary="npm package", products=[("lodash", "*"), ("react", "*")]),
+        mk_cve("CVE-2019-0042", summary="another npm bug", products=[("lodash", "*")]),
+        mk_cve("CVE-2019-0043", summary="a pypi module", products=[("lodash", "*")]),
+        mk_cve("CVE-2019-0044", summary="npm: react again", products=[("react", "*")]),
+    ]
+    calls = []
+
+    def counting_best_match(query, candidates, cutoff):
+        calls.append(query)
+        return best_match(query, candidates, cutoff)
+
+    monkeypatch.setattr("vulnmap.match.best_match", counting_best_match)
+    for cutoff in (0.0, 0.3, 0.9):
+        calls.clear()
+        got = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, LOOKUP, cutoff)}
+        assert sorted(calls) == ["lodash", "lodash", "react"]  # (NPM|Pypi, lodash), (NPM, react)
+        assert got == oracle_fuzzy(packages, cves, LOOKUP, cutoff)
+    assert {(cve_id, key) for cve_id, key, *_ in got} == {
+        ("CVE-2019-0040", "n1"), ("CVE-2019-0041", "n1"), ("CVE-2019-0041", "n4"),
+        ("CVE-2019-0042", "n1"), ("CVE-2019-0044", "n4"),
+    }
 
 
 @pytest.mark.parametrize("workload", ["fuzzy-pool", "fuzzy-score"])

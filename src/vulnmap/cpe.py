@@ -77,6 +77,7 @@ def parse_cpe23(uri: str) -> CpeRecord:
     exactly 11 attribute fields, or when the part field is not one of
     ``a``, ``o``, ``h``, ``*``, ``-``.
     """
+    plain = False
     if "\\" in uri:
         match = _CPE23.fullmatch(uri)
         fields = None if match is None else match.groups()
@@ -84,9 +85,15 @@ def parse_cpe23(uri: str) -> CpeRecord:
         # Without a backslash every colon separates two fields.
         fields = uri.split(":")
         fields = fields[2:] if len(fields) == 13 and fields[:2] == ["cpe", "2.3"] else None
+        # Printable ASCII other than the space holds nothing str.strip removes.
+        plain = uri.isascii() and uri.isprintable() and " " not in uri
     part = None if fields is None else _PARTS.get(fields[0])
     if part is None:
         raise MalformedCpe(f"not a well-formed cpe:2.3 formatted string: {uri!r}")
+    if plain:
+        # Lowercasing ASCII is per character and stripping does nothing, so one
+        # lower() after "cpe:2.3:<part>:" does what ten normalize_component calls do.
+        return CpeRecord(part, *uri[10:].lower().split(":"), uri)
     # Each field is normalized on its own: lowercasing the whole string would
     # turn a final sigma into a medial one.
     values = [

@@ -18,7 +18,7 @@ SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 
 # ASCII digits only: \d also matches other scripts' digits, which int() accepts.
 CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}$")
-_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _WHITESPACE = re.compile(r"\s*")
 # A scheme, a host of ASCII letters, digits, dots and hyphens (so no userinfo,
 # port, brackets or characters urlsplit deletes), then optionally the first two
@@ -118,7 +118,8 @@ def parse_date(text) -> date | None:
     if not m:
         return None
     try:
-        return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        # Raises ValueError on the dates date() does: month 13, day 00, year 0000.
+        return date.fromisoformat(m[0])
     except ValueError:
         return None
 
@@ -296,12 +297,8 @@ def load_packages(
         if "license" in positions:
             license_label = row[positions["license"]].strip()
         yield PackageRecord(
-            package_key=row[positions["id"]].strip(),
-            platform=platform,
-            name=name,
-            keywords=keywords,
-            license=license_label,
-            repo=extract_repo_ref(row[positions["repository_url"]]),
+            row[positions["id"]].strip(), platform, name, keywords, license_label,
+            extract_repo_ref(row[positions["repository_url"]]),
         )
 
 
@@ -320,10 +317,8 @@ def load_versions(
             continue
         platform_raw = row[positions["platform"]].strip()
         yield VersionRecord(
-            package_key=row[positions["id"]].strip(),
-            platform=aliases.get(platform_raw.lower(), platform_raw),
-            version_label=row[positions["version"]].strip(),
-            published=published,
+            row[positions["id"]].strip(), aliases.get(platform_raw.lower(), platform_raw),
+            row[positions["version"]].strip(), published,
         )
 
 
@@ -496,11 +491,7 @@ def load_cves(
         if malformed:
             tally("malformed_cpes", malformed)
         yield CveRecord(
-            cve_id=cve_id,
-            summary=summary,
-            references=references,
-            published=parse_date(entry.get(fields["published"])),
-            cpes=tuple(cpes),
+            cve_id, summary, references, parse_date(entry.get(fields["published"])), tuple(cpes)
         )
 
 

@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 from datetime import date
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -44,11 +45,19 @@ class CorruptStore(ValueError):
         )
 
 
-# Built once: json.dumps with options builds a new encoder for every call. A
-# record (a NamedTuple) becomes the JSON array of its fields.
-_dumps = json.JSONEncoder(
-    ensure_ascii=False, separators=(", ", ": "), default=date.isoformat
-).encode
+# The C encoder that JSONEncoder.encode builds anew on every call, built once.
+# It writes what json.dumps(doc, ensure_ascii=False, separators=(", ", ": "),
+# default=date.isoformat) writes, without the circular-reference memo: no
+# record, mapping document or reject holds a cycle. A record (a NamedTuple)
+# becomes the JSON array of its fields. The arguments are: markers, default,
+# string encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan.
+_encode = c_make_encoder(
+    None, date.isoformat, encode_basestring, None, ": ", ", ", False, False, True
+)
+
+
+def _dumps(doc) -> str:
+    return "".join(_encode(doc, 0))
 
 
 def mapping_to_dict(result: MappingResult) -> dict:
@@ -215,6 +224,8 @@ class Workspace:
                 # Chained: every type is the next one, and the last is str.
                 if not type(key) is type(platform) is type(name) is type(license) is str:
                     raise TypeError(f"package {key!r} has a field that is not a string")
+                if type(keywords) is not list:  # tuple() would split a string into letters
+                    raise TypeError(f"package {key} has keywords that are not a list")
                 "".join(keywords)  # a TypeError unless every keyword is a str
                 yield PackageRecord(
                     key, shared(platform, platform), name, tuple(keywords),
@@ -229,6 +240,9 @@ class Workspace:
         if self.versions_path.exists():
             with self._rows(self.versions_path) as rows:
                 for read, (key, platform, label, published) in enumerate(rows, 1):
+                    # Chained as in load_packages; fromisoformat checks the date.
+                    if not type(key) is type(platform) is type(label) is str:
+                        raise TypeError(f"version {key!r} has a field that is not a string")
                     yield VersionRecord(key, platform, label, date.fromisoformat(published))
         self._check_count(self.versions_path, read)
 
@@ -241,9 +255,12 @@ class Workspace:
                     raise ValueError(f"bad CVE id {cve_id!r}")
                 if type(summary) is not str:  # the matchers lowercase it
                     raise TypeError(f"CVE {cve_id} has a summary that is not a string")
+                if type(references) is not list:  # tuple() would split a string into letters
+                    raise TypeError(f"CVE {cve_id} has references that are not a list")
                 "".join(references)  # a TypeError unless every reference is a str
                 for c in cpes:  # a freshly decoded list: swap in its Part without an enum call
                     c[0] = _PARTS[c[0]]
+                    "".join(c)  # a TypeError unless every field is a str, as a Part is
                 yield CveRecord(
                     cve_id, summary, tuple(references),
                     None if published is None else date.fromisoformat(published),

@@ -221,11 +221,13 @@ def _cut_at_line(data: bytes) -> bytes:
     return data[: data.rfind(b"\n", 0, len(data) // 2) + 1]
 
 
-def _unknown_cpe_part(data: bytes) -> bytes:
-    """The CVE rows with the part of their first CPE row set to "x"."""
-    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-    next(row for row in rows if row[4])[4][0][0] = "x"
-    return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+def _set_first_cpe_field(field: int, value):
+    """A corruption that sets one field of the first CPE row of the CVE rows."""
+    def corrupt(data: bytes) -> bytes:
+        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        next(row for row in rows if row[4])[4][0][field] = value
+        return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+    return corrupt
 
 
 def _set_first_row_field(field: int, value):
@@ -253,17 +255,27 @@ CORRUPT_STORES = {
     "packages-cut-at-line": ("packages.ndjson", _cut_at_line, ("map", "report")),
     "versions-cut-at-line": ("versions.ndjson", _cut_at_line, ("report",)),
     "cves-cut-at-line": ("cves.ndjson", _cut_at_line, ("map", "report")),
-    "cpe-part-x": ("cves.ndjson", _unknown_cpe_part, ("map", "report")),
+    "cpe-part-x": ("cves.ndjson", _set_first_cpe_field(0, "x"), ("map", "report")),
+    "cpe-product-int": ("cves.ndjson", _set_first_cpe_field(2, 5), ("map", "report")),
+    "cpe-product-list": ("cves.ndjson", _set_first_cpe_field(2, ["x"]), ("map", "report")),
     "cpe-row-short": ("cves.ndjson", _short_cpe_row, ("map", "report")),
     "cve-published-empty": ("cves.ndjson", _set_first_row_field(3, ""), ("map", "report")),
     "cve-id-bad": ("cves.ndjson", _set_first_row_field(0, "CVE-x"), ("map", "report")),
     "cve-summary-null": ("cves.ndjson", _set_first_row_field(1, None), ("map", "report")),
     "cve-reference-int": ("cves.ndjson", _set_first_row_field(2, [1]), ("map", "report")),
+    "cve-references-string": (
+        "cves.ndjson", _set_first_row_field(2, "https://x"), ("map", "report")
+    ),
     "package-repo-empty": ("packages.ndjson", _set_first_row_field(5, []), ("map", "report")),
     "package-key-list": ("packages.ndjson", _set_first_row_field(0, []), ("map",)),
     "package-platform-null": ("packages.ndjson", _set_first_row_field(1, None), ("report",)),
     "package-name-null": ("packages.ndjson", _set_first_row_field(2, None), ("map",)),
     "package-keyword-int": ("packages.ndjson", _set_first_row_field(3, [1]), ("map",)),
+    "package-keywords-string": (
+        "packages.ndjson", _set_first_row_field(3, "web"), ("map", "report")
+    ),
+    "versions-platform-null": ("versions.ndjson", _set_first_row_field(1, None), ("report",)),
+    "versions-platform-list": ("versions.ndjson", _set_first_row_field(1, ["NPM"]), ("report",)),
 }
 
 
@@ -307,6 +319,14 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "has a field that is not a string" in err
     if case == "package-keyword-int":
         assert "TypeError: sequence item 0: expected str instance, int found" in err
+    if case in ("cve-references-string", "package-keywords-string"):
+        assert "that are not a list" in err
+    if case.startswith("versions-platform-"):
+        assert "has a field that is not a string" in err
+    if case == "cpe-product-int":
+        assert "TypeError: sequence item 2: expected str instance, int found" in err
+    if case == "cpe-product-list":
+        assert "TypeError: sequence item 2: expected str instance, list found" in err
 
 
 def test_corrupt_summary_exits_1(tmp_path, capsys):

@@ -190,20 +190,32 @@ def _messy_cpe(rng: random.Random) -> str:
     return prefix + ":".join((part, *attributes)) + trailing
 
 
+def _is_plain(uri: str) -> bool:
+    """ASCII without a backslash or any character str.strip removes."""
+    return uri.isascii() and not any(ch == "\\" or ch.isspace() for ch in uri)
+
+
 def test_parser_agrees_with_reference_splitter():
     rng = random.Random(7695)
     messy = [_messy_cpe(rng) for _ in range(20_000)]
     accepted = {True: 0, False: 0}  # by whether the string holds a backslash
-    # Each messy string also without its backslashes, for the str.split path.
-    for uri in EDGE_CPES + messy + [m.replace("\\", "") for m in messy]:
+    plain = 0  # accepted strings that parse_cpe23 lowercases whole
+    # Each messy string also without its backslashes, for the str.split path,
+    # and with only its plain characters, for the whole-string lowercasing.
+    for uri in (
+        EDGE_CPES + messy + [m.replace("\\", "") for m in messy]
+        + ["".join(filter(_is_plain, m)) for m in messy]
+    ):
         fields = reference_cpe23_fields(uri)
         if fields is None:
             with pytest.raises(MalformedCpe):
                 parse_cpe23(uri)
             continue
         accepted["\\" in uri] += 1
+        plain += _is_plain(uri)
         values = [f if f in ("*", "-") else normalize_component(f) for f in fields[1:]]
         assert parse_cpe23(uri) == CpeRecord(Part(fields[0]), *values, uri)
     # Both outcomes, and accepted strings with and without a backslash, are well exercised.
     assert 4_000 < sum(accepted.values()) < 36_000
     assert min(accepted.values()) > 2_000
+    assert plain > 2_000

@@ -473,7 +473,25 @@ def test_parse_date():
     assert parse_date("") is None
     assert parse_date(None) is None
     assert parse_date("2019-13-40") is None
+    assert parse_date("20190615") is None
     assert parse_date("\u0662\u0660\u0661\u0669-\u0660\u0667-\u0662\u0666") is None
+
+
+def _date_by_fields(text: str) -> date | None:
+    """The date the first ten characters name, built field by field with date()."""
+    try:
+        return date(int(text[:4]), int(text[5:7]), int(text[8:10]))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("text", [
+    "2019-13-01", "2019-00-10", "2019-04-00", "2019-04-31", "2019-02-29", "2000-02-29",
+    "1900-02-29", "2020-02-29", "2020-02-30", "0000-01-01", "0001-01-01", "9999-12-31",
+    "2019-12-31T23:59:59Z", " 2019-01-01 ", "2019-06-15 00:44:53 UTC",
+])
+def test_parse_date_edges_agree_with_date_fields(text):
+    assert parse_date(text) == _date_by_fields(text.strip())
 
 
 # -- streaming ------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import functools
 import json
+import math
 import os
+import random
 import select
 import signal
 import subprocess
@@ -13,10 +16,14 @@ import pytest
 import vulnmap
 from test_match import mk_cve, mk_pkg
 from vulnmap.cpe import CpeRecord, Part
-from vulnmap.ingest import _READ_CHARS, RepoRef, VersionRecord, load_cves, load_packages
-from vulnmap.match import default_lookup_config, run_all
+from vulnmap.ingest import (
+    _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord, load_cves, load_packages,
+)
+from vulnmap.match import Evidence, MappingResult, Strategy, default_lookup_config, run_all
 from vulnmap.report import cve_per_year, package_counts, versions_per_year
-from vulnmap.store import Workspace, WorkspaceLocked, mapping_from_dict, mapping_to_dict
+from vulnmap.store import (
+    Workspace, WorkspaceLocked, _dumps, mapping_from_dict, mapping_to_dict,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,6 +126,66 @@ def test_ndjson_is_one_compact_line_per_record(tmp_path):
     lines = ws.packages_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == ["p1", "NPM", "x", [], "", None]
+
+
+# Non-ASCII and astral text, control characters, quotes, backslashes, lone surrogates.
+_TEXT_PIECES = ("a", "Z", "7", " ", "\u00e9", "\u540d", "\U0001f600", "\x00", "\n", "\x1f",
+                "\x7f", '"', "\\", "/", "\ud800", "\udfff", "\u2028", "\ufeff")
+
+
+def _text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randrange(6)))
+
+
+def _scalar(rng: random.Random):
+    return rng.choice((
+        None, True, False, 0, -1, 2**70, rng.randrange(-10**6, 10**6), 0.5, -0.0, 1e300,
+        math.nan, math.inf, -math.inf, rng.random(), date(rng.randrange(1, 10_000), 12, 31),
+        _text(rng), Part.HARDWARE,
+    ))
+
+
+def _nested(rng: random.Random, depth: int = 3):
+    kind = rng.randrange(4) if depth else 0
+    if kind == 0:
+        return _scalar(rng)
+    items = [_nested(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    return {_text(rng): item for item in items}
+
+
+def _document(rng: random.Random):
+    """A store record, mapping document or reject, or any nested value, built from rng."""
+    text = functools.partial(_text, rng)
+    kind = rng.randrange(6)
+    if kind == 0:
+        repo = rng.choice((None, RepoRef(text(), text(), text())))
+        return PackageRecord(text(), text(), text(), (text(), text()), text(), repo)
+    if kind == 1:
+        return VersionRecord(text(), text(), text(), date(rng.randrange(1, 10_000), 2, 28))
+    if kind == 2:
+        cpe = CpeRecord(rng.choice(list(Part)), *(text() for _ in range(11)))
+        return CveRecord(f"CVE-2019-{rng.randrange(10**4, 10**6)}", text(), (text(),),
+                         rng.choice((None, date(2019, 1, 1))), (cpe, cpe))
+    if kind == 3:
+        evidence = Evidence(text(), (text(), text()))
+        return mapping_to_dict(MappingResult(rng.choice(list(Strategy)), text(), text(), text(),
+                                             rng.random(), evidence))
+    if kind == 4:
+        return {"source": text(), "row": rng.randrange(10**6), "reason": text(),
+                "data": rng.choice(([text(), text()], text(), _nested(rng)))}
+    return _nested(rng)
+
+
+def test_store_encoder_writes_what_json_dumps_writes():
+    rng = random.Random(2022)
+    for _ in range(3000):
+        doc = _document(rng)
+        want = json.dumps(doc, ensure_ascii=False, separators=(", ", ": "), default=date.isoformat)
+        assert _dumps(doc) == want
 
 
 def test_block_reader_agrees_with_per_line_decoding(tmp_path):

@@ -6,9 +6,10 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, NoReturn, TextIO
 
 from . import ingest as ing
 from . import report as rep
@@ -158,6 +159,107 @@ def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _stage_input(flag: str, path: Path, stage: store.Workspace, aliases, field_map) -> dict:
+    """Read, normalize and stage one input; return its row and reject counts, digest and tallies.
+
+    Its rejects go to a part file of its own, which ``cmd_ingest`` joins.
+    """
+    rejected = 0
+    tallies: dict = {}
+    with stage.ndjson_sink(_rejects_part(stage, flag)) as write:
+        def reject(entry: dict) -> None:
+            """Write each reject as it arrives: a dump can hold millions."""
+            nonlocal rejected
+            write(entry)
+            rejected += 1
+        try:
+            with _open_input(flag, path) as src:
+                if flag == "cves":
+                    records = ing.load_cves(
+                        src, field_map=field_map, rejects=reject, tallies=tallies
+                    )
+                else:
+                    load = ing.load_packages if flag == "packages" else ing.load_versions
+                    records = load(src, rejects=reject, platform_aliases=aliases)
+                rows = stage.write_ndjson(getattr(stage, f"{flag}_path"), records)
+        except (ing.CsvStructure, ing.JsonStructure) as exc:
+            raise CommandError(str(exc)) from None
+        except OSError as exc:
+            raise CommandError(f"cannot read input: {exc}") from None
+    return {"rows": rows, "rejects": rejected, "sha256": store.sha256_file(path), **tallies}
+
+
+def _rejects_part(stage: store.Workspace, flag: str) -> Path:
+    return stage.root / f"rejects_{flag}.ndjson"
+
+
+def _each_input(stage_one: Callable[[str, Path], dict], inputs: dict[str, Path]) -> dict:
+    """Call ``stage_one`` on each input; return its answers by flag, in input order.
+
+    With more than one CPU to run on, each call runs in a forked child that
+    answers with one JSON line on a pipe; with one, the calls run here, one
+    after another. Either way the error of the first input that fails, in
+    input order, is raised. Every child is reaped before this returns or
+    raises; those still running then are killed first.
+    """
+    if not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        return {flag: stage_one(flag, path) for flag, path in inputs.items()}
+    pids: dict[str, int] = {}  # the children not yet reaped
+    pipes: dict[str, int] = {}  # the read ends not yet read
+    try:
+        for flag, path in inputs.items():
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _answer_and_exit(write_end, stage_one, flag, path)
+            os.close(write_end)
+            pids[flag], pipes[flag] = pid, read_end
+        answers = {}
+        for flag in inputs:
+            with open(pipes.pop(flag), encoding="utf-8") as fh:
+                line = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(flag), 0)[1])
+            if not line:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise CommandError(f"the process reading --{flag} input ended without an answer "
+                                   f"({how})")
+            answers[flag] = json.loads(line)
+            if "error" in answers[flag]:
+                raise CommandError(answers[flag]["error"])
+        return answers
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        if pids:
+            import signal  # only here: building its enums would slow every command's start
+
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _answer_and_exit(write_end: int, call: Callable[..., dict], *args) -> NoReturn:
+    """In a forked child: write what ``call(*args)`` returns, or its error, as one JSON line; exit.
+
+    The child never returns into the parent's code, so no context manager or
+    exit handler of the parent's runs twice.
+    """
+    code = EXIT_ERROR
+    try:
+        try:
+            answer = call(*args)
+        except (CommandError, OSError) as exc:
+            answer = {"error": str(exc)}
+        with open(write_end, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(answer) + "\n")
+        code = EXIT_OK
+    except Exception:  # a fault, not an input error: its traceback, and no answer
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     for label, path in (
         ("packages", args.packages),
@@ -175,52 +277,30 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     except (OSError, ValueError) as exc:
         raise CommandError(f"invalid --cve-fields file: {exc}") from None
 
-    reject_counts: dict[str, int] = {}
-    tallies: dict = {}
+    inputs = {"packages": args.packages, "versions": args.versions, "cves": args.cves}
+    inputs = {flag: path for flag, path in inputs.items() if path is not None}
     # Every store file is written to .staging and moved in only once all inputs have loaded.
     with workspace.lock():
-        with workspace.staging() as stage, stage.ndjson_sink(stage.rejects_path) as write:
-            def reject(entry: dict) -> None:
-                """Write each reject as it arrives: a dump can hold millions."""
-                write(entry)
-                reject_counts[entry["source"]] = reject_counts.get(entry["source"], 0) + 1
-            try:
-                with _open_input("packages", args.packages) as src:
-                    records = ing.load_packages(
-                        src, rejects=reject, platform_aliases=aliases
-                    )
-                    package_count = stage.write_ndjson(stage.packages_path, records)
-                version_count = 0
-                if args.versions is not None:
-                    with _open_input("versions", args.versions) as src:
-                        records = ing.load_versions(
-                            src, rejects=reject, platform_aliases=aliases
-                        )
-                        version_count = stage.write_ndjson(stage.versions_path, records)
-                else:
-                    stage.write_ndjson(stage.versions_path, ())
-                with _open_input("cves", args.cves) as src:
-                    records = ing.load_cves(
-                        src, field_map=field_map, rejects=reject, tallies=tallies
-                    )
-                    cve_count = stage.write_ndjson(stage.cves_path, records)
-            except (ing.CsvStructure, ing.JsonStructure) as exc:
-                raise CommandError(str(exc)) from None
-            except OSError as exc:
-                raise CommandError(f"cannot read input: {exc}") from None
-
-            inputs = {"packages": {"sha256": store.sha256_file(args.packages)}}
-            if args.versions is not None:
-                inputs["versions"] = {"sha256": store.sha256_file(args.versions)}
-            inputs["cves"] = {"sha256": store.sha256_file(args.cves)}
-
+        with workspace.staging() as stage:
+            answers = _each_input(
+                lambda flag, path: _stage_input(flag, path, stage, aliases, field_map), inputs
+            )
+            with open(stage.rejects_path, "wb") as joined:
+                for flag in answers:
+                    part = _rejects_part(stage, flag)
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, joined)
+                    part.unlink()
+            if args.versions is None:
+                stage.write_ndjson(stage.versions_path, ())
+            rejects = {flag: a["rejects"] for flag, a in answers.items() if a["rejects"]}
             summary = {
-                "packages": package_count,
-                "versions": version_count,
-                "cves": cve_count,
-                "rejects": {"total": sum(reject_counts.values()), **reject_counts},
-                "malformed_cpes": tallies.get("malformed_cpes", 0),
-                "inputs": inputs,
+                "packages": answers["packages"]["rows"],
+                "versions": answers["versions"]["rows"] if args.versions is not None else 0,
+                "cves": answers["cves"]["rows"],
+                "rejects": {"total": sum(rejects.values()), **rejects},
+                "malformed_cpes": answers["cves"].get("malformed_cpes", 0),
+                "inputs": {flag: {"sha256": a["sha256"]} for flag, a in answers.items()},
                 "store_layout": store.STORE_LAYOUT,
             }
             stage.write_summary(summary)

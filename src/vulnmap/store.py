@@ -227,10 +227,14 @@ class Workspace:
                 if type(keywords) is not list:  # tuple() would split a string into letters
                     raise TypeError(f"package {key} has keywords that are not a list")
                 "".join(keywords)  # a TypeError unless every keyword is a str
+                if repo is not None:
+                    if type(repo) is not list:  # RepoRef(*"abc") would split a string
+                        raise TypeError(f"package {key} has a repo that is not a list")
+                    "".join(repo)  # a TypeError unless every field is a str
+                    repo = RepoRef(shared(repo[0], repo[0]), *repo[1:])
                 yield PackageRecord(
                     key, shared(platform, platform), name, tuple(keywords),
-                    shared(license, license),
-                    None if repo is None else RepoRef(shared(repo[0], repo[0]), *repo[1:]),
+                    shared(license, license), repo,
                 )
         self._check_count(self.packages_path, read)
 

@@ -2,8 +2,10 @@ import gzip
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import vulnmap
-from vulnmap import store
+from vulnmap import cli, store
 from vulnmap.cli import ALL_REPORTS, main
 from vulnmap.store import Workspace
 
@@ -108,6 +110,112 @@ def test_failed_ingest_leaves_the_store_unchanged(tmp_path, capsys):
     assert "truncated JSON array" in err
     assert workspace_bytes(ws) == before
     assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+
+
+def _cpus(monkeypatch, count: int) -> list:
+    """Let ingest see ``count`` CPUs; return the list each os.fork call appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _with_rejects(tmp_path) -> tuple[str, ...]:
+    """Ingest arguments whose packages, versions and CVEs each hold rejects."""
+    versions = tmp_path / "versions.csv"
+    versions.write_text(VERSIONS_CSV + "NPM,lodash,P001,5.0.0,someday\n", encoding="utf-8")
+    cves = tmp_path / "cves.ndjson"
+    cves.write_text(Path(CVES).read_text(encoding="utf-8") + '{"id": "CVE-x"}\n',
+                    encoding="utf-8")
+    return PACKAGES, str(cves), "--versions", str(versions)
+
+
+def test_parallel_ingest_writes_what_one_cpu_writes(tmp_path, capsys, monkeypatch):
+    args = _with_rejects(tmp_path)
+    written = {}
+    for cpus in (2, 1):
+        forks = _cpus(monkeypatch, cpus)
+        ws = tmp_path / f"ws_{cpus}"
+        code, out, err = ingest(capsys, ws, *args)
+        assert code == 0, err
+        assert len(forks) == (3 if cpus > 1 else 0)  # one CPU: read here, os.fork never called
+        written[cpus] = (out.replace(str(ws), "WS"), workspace_bytes(ws))
+    assert written[2] == written[1]
+    summary, files = json.loads(written[2][0]), written[2][1]
+    assert summary["rejects"] == {"total": 5, "packages": 3, "versions": 1, "cves": 1}
+    assert sorted(files) == [".lock", "cves.ndjson", "packages.ndjson", "rejects.ndjson",
+                             "summary.json", "versions.ndjson"]
+    # The rejects of each input, in input order: packages, versions, CVEs.
+    sources = [json.loads(line)["source"] for line in files["rejects.ndjson"].splitlines()]
+    assert sources == ["packages"] * 3 + ["versions", "cves"]
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_first_failed_input_in_input_order_is_the_error(tmp_path, capsys, monkeypatch, cpus):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    bad_packages = tmp_path / "packages.csv"
+    bad_packages.write_text("ID,Platform,Repository URL\n1,NPM,x\n", encoding="utf-8")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text("[" + ",".join(Path(CVES).read_text("utf-8").split()), encoding="utf-8")
+    forks = _cpus(monkeypatch, cpus)
+    code, out, err = ingest(capsys, ws, str(bad_packages), str(truncated))
+    assert len(forks) == (2 if cpus > 1 else 0)
+    assert code == 1 and out == ""
+    assert err == "vulnmap: error: missing mapped header 'Name'\n"
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+    assert not (ws / ".staging").exists()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_killed_input_process_exits_1_naming_its_input(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    forks = _cpus(monkeypatch, 2)
+
+    def killed(*args, **kwargs):  # the OOM killer's way out
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(vulnmap.ingest, "load_cves", killed)
+    code, out, err = ingest(capsys, ws, *_with_rejects(tmp_path))
+    assert len(forks) == 3
+    assert code == 1 and out == ""
+    assert err == ("vulnmap: error: the process reading --cves input ended without an "
+                   f"answer (killed by signal {int(signal.SIGKILL)})\n")
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+    _no_child_left()
+
+
+def test_interrupted_ingest_reaps_every_child(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(vulnmap.ingest, "load_versions", lambda *a, **k: time.sleep(60))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    # A Ctrl-C in the parent while it waits; a fork does not inherit the timer.
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            ingest(capsys, ws, *_with_rejects(tmp_path))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    _no_child_left()
+    assert workspace_bytes(ws) == before
+    assert not (ws / ".staging").exists()
 
 
 def test_reingest_drops_the_previous_mappings(tmp_path, capsys):
@@ -267,6 +375,13 @@ CORRUPT_STORES = {
         "cves.ndjson", _set_first_row_field(2, "https://x"), ("map", "report")
     ),
     "package-repo-empty": ("packages.ndjson", _set_first_row_field(5, []), ("map", "report")),
+    "package-repo-string": ("packages.ndjson", _set_first_row_field(5, "abc"), ("map", "report")),
+    "package-repo-owner-int": (
+        "packages.ndjson", _set_first_row_field(5, ["github.com", 5, "r"]), ("map", "report")
+    ),
+    "package-repo-field-null": (
+        "packages.ndjson", _set_first_row_field(5, ["github.com", "o", None]), ("map", "report")
+    ),
     "package-key-list": ("packages.ndjson", _set_first_row_field(0, []), ("map",)),
     "package-platform-null": ("packages.ndjson", _set_first_row_field(1, None), ("report",)),
     "package-name-null": ("packages.ndjson", _set_first_row_field(2, None), ("map",)),
@@ -315,6 +430,12 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "TypeError: sequence item 0: expected str instance, int found" in err
     if case == "package-repo-empty":
         assert "IndexError: list index out of range" in err
+    if case == "package-repo-string":
+        assert "has a repo that is not a list" in err
+    if case == "package-repo-owner-int":
+        assert "TypeError: sequence item 1: expected str instance, int found" in err
+    if case == "package-repo-field-null":
+        assert "TypeError: sequence item 2: expected str instance, NoneType found" in err
     if case in ("package-key-list", "package-platform-null", "package-name-null"):
         assert "has a field that is not a string" in err
     if case == "package-keyword-int":
@@ -339,12 +460,28 @@ def test_corrupt_summary_exits_1(tmp_path, capsys):
     assert err.startswith(f"vulnmap: error: corrupt store file {summary}: ")
 
 
-def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys):
+def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch):
     # 4000 good rows put both inputs past the 1 MiB block sha256_file reads,
     # so the two runs differ only in their rejects (an empty platform each).
     header = "ID,Platform,Name,Homepage URL,Repository URL,Keywords,Licenses\n"
     good = "".join(f"P{i},NPM,n{i},https://example.org/{'x' * 250},https://github.com/o/r,,MIT\n"
                    for i in range(4000))
+    # With two CPUs each input is read in a forked child, whose allocations
+    # tracemalloc in this process cannot see: the child measures its own
+    # input's work and leaves the peak in a file. One CPU runs the same
+    # function in this process.
+    stage_input = cli._stage_input
+
+    def measured(flag, *args):
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        answer = stage_input(flag, *args)
+        (tmp_path / f"peak_{flag}").write_text(
+            str(tracemalloc.get_traced_memory()[1] - baseline), encoding="utf-8")
+        return answer
+
+    monkeypatch.setattr(cli, "_stage_input", measured)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     peaks, sizes = {}, {}
     for bad in (1000, 8000):
         packages = tmp_path / f"packages_{bad}.csv"
@@ -356,11 +493,14 @@ def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys):
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             code, out, _ = ingest(capsys, ws, str(packages))
-            peaks[bad] = tracemalloc.get_traced_memory()[1] - baseline
+            peaks[bad] = tracemalloc.get_traced_memory()[1] - baseline  # joining the rejects
         finally:
             tracemalloc.stop()
         assert code == 0
         assert json.loads(out)["rejects"] == {"total": bad, "packages": bad}
+        # Each process's peak, added: an upper bound on what they held at once.
+        peaks[bad] += sum(int((tmp_path / f"peak_{flag}").read_text(encoding="utf-8"))
+                          for flag in ("packages", "cves"))
         sizes[bad] = (ws / "rejects.ndjson").stat().st_size
     # Holding the rejects until the end costs several times their encoded size.
     assert peaks[8000] - peaks[1000] < (sizes[8000] - sizes[1000]) / 10, (peaks, sizes)
@@ -845,7 +985,10 @@ def test_readme_flags_table_matches_parser(capsys):
 
 
 def test_cli_import_loads_no_dataclass_machinery():
-    """Records are NamedTuples, so a command never imports dataclasses or inspect."""
+    """Records are NamedTuples, so a command never imports dataclasses or inspect.
+
+    Nor does it import multiprocessing, concurrent.futures or pickle.
+    """
     env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
     script = (
         "import sys; bare = set(sys.modules); import vulnmap.cli; "
@@ -858,6 +1001,8 @@ def test_cli_import_loads_no_dataclass_machinery():
     added = set(proc.stdout.split())
     assert "vulnmap.match" in added and "vulnmap.report" in added
     assert added.isdisjoint({"dataclasses", "inspect"})
+    # Ingest forks its input processes itself, without these modules' import time.
+    assert added.isdisjoint({"multiprocessing", "concurrent.futures", "pickle"})
     # The README promises immutable records.
     evidence = vulnmap.Evidence(vulnmap.match.REPO_LINK, ("github.com/a/b",))
     result = vulnmap.MappingResult(

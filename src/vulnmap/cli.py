@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, NoReturn, TextIO
+from typing import Callable, NamedTuple, NoReturn
 
 from . import ingest as ing
 from . import report as rep
@@ -125,7 +124,7 @@ def _load_cve_fields(path: Path) -> dict[str, str]:
 
 
 def _require_store(workspace: store.Workspace) -> None:
-    if not workspace.has_store():
+    if not (workspace.packages_path.exists() and workspace.cves_path.exists()):
         raise CommandError(
             f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
         )
@@ -134,16 +133,6 @@ def _require_store(workspace: store.Workspace) -> None:
             f"workspace {workspace.root} holds a store from another vulnmap version; "
             "run 'vulnmap ingest' again"
         )
-
-
-@contextlib.contextmanager
-def _open_input(flag: str, path: Path) -> Iterator[TextIO]:
-    """Open an input file; a read in the block that cannot decode it exits 1 naming the flag."""
-    try:
-        with ing.open_text_auto(path) as src:
-            yield src
-    except ing.INPUT_DECODE_ERRORS as exc:
-        raise CommandError(f"cannot read --{flag} input: {path}: {exc}") from None
 
 
 def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
@@ -173,7 +162,7 @@ def _stage_input(flag: str, path: Path, stage: store.Workspace, aliases, field_m
             write(entry)
             rejected += 1
         try:
-            with _open_input(flag, path) as src:
+            with ing.open_text_auto(path) as src:
                 if flag == "cves":
                     records = ing.load_cves(
                         src, field_map=field_map, rejects=reject, tallies=tallies
@@ -182,6 +171,8 @@ def _stage_input(flag: str, path: Path, stage: store.Workspace, aliases, field_m
                     load = ing.load_packages if flag == "packages" else ing.load_versions
                     records = load(src, rejects=reject, platform_aliases=aliases)
                 rows = stage.write_ndjson(getattr(stage, f"{flag}_path"), records)
+        except ing.INPUT_DECODE_ERRORS as exc:  # before OSError: BadGzipFile is one
+            raise CommandError(f"cannot read --{flag} input: {path}: {exc}") from None
         except (ing.CsvStructure, ing.JsonStructure) as exc:
             raise CommandError(str(exc)) from None
         except OSError as exc:

@@ -30,7 +30,7 @@ _PLAIN_URL = re.compile(
     r"(?:/+([^/?#\t\r\n]+)/+([^/?#\t\r\n]+)(?![^/?#]))?"
 )
 # Characters per read of a CVE dump file, and per block of store lines read
-# back (store.Workspace.read_ndjson). Larger reads cut fewer entries off but
+# back (store.Workspace._rows). Larger reads cut fewer entries off but
 # hold more text: with 64 KiB reads a small-entry NDJSON load peaked at
 # 0.33 MB traced, against 0.05 MB with these.
 _READ_CHARS = 8192

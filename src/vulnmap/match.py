@@ -26,7 +26,6 @@ class Strategy(str, enum.Enum):
 # Evidence kinds.
 PRODUCT_NAME_EQUAL = "product_name_equal"
 SUMMARY_KEYWORD = "summary_keyword"
-REFERENCE_URL = "reference_url"
 REPO_LINK = "repo_link"
 FUZZY_SCORE = "fuzzy_score"
 

@@ -190,19 +190,25 @@ def cve_per_year(years: dict[str, int]) -> Report:
 
 
 def vulnerable_package_count(
-    mappings: dict[str, list[MappingResult]], top_k: int = DEFAULT_TOP_K_RANKING
+    mappings: dict[str, Iterable[MappingResult]], top_k: int = DEFAULT_TOP_K_RANKING
 ) -> Report:
     """Distinct vulnerable packages per (strategy, platform).
 
     Rows carry distinct package counts; (package, CVE) pair counts are
     exposed in metadata for comparison. Each strategy's "Others" row comes
-    after every ranked row.
+    after every ranked row. Each strategy's results are read once, so they
+    may be a stream.
     """
     ranked_rows: list[ReportRow] = []
     others_rows: list[ReportRow] = []
-    for strategy_key in sorted(mappings):
-        distinct = {(r.platform, r.package_key) for r in mappings[strategy_key]}
-        counter = Counter(platform for platform, _ in distinct)
+    pair_counts = {}
+    for strategy_key, results in mappings.items():
+        pairs = Counter((r.platform, r.package_key) for r in results)
+        counter, mapped = Counter(), Counter()  # distinct packages, (package, CVE) pairs
+        for (platform, _), n in pairs.items():
+            counter[platform] += 1
+            mapped[platform] += n
+        pair_counts[strategy_key] = dict(sorted(mapped.items()))
         rows, aggregated = _top_k_rows(counter, top_k, prefix=(strategy_key,))
         if aggregated:
             others_rows.append(rows.pop())
@@ -216,15 +222,12 @@ def vulnerable_package_count(
         metadata={
             "top_k": top_k,
             "count_basis": "distinct packages",
-            "pair_counts": {
-                key: dict(sorted(Counter(r.platform for r in results).items()))
-                for key, results in mappings.items()
-            },
+            "pair_counts": pair_counts,
         },
     )
 
 
-def mapped_cve_per_year(mappings: list[MappingResult], years: dict[str, int]) -> Report:
+def mapped_cve_per_year(mappings: Iterable[MappingResult], years: dict[str, int]) -> Report:
     """Distinct mapped CVE counts per (platform, year); ``years`` as for ``cve_per_year``."""
     cells = {(r.platform, str(years[r.cve_id]), r.cve_id) for r in mappings if r.cve_id in years}
     return Report(

@@ -71,24 +71,13 @@ def mapping_to_dict(result: MappingResult) -> dict:
     }
 
 
-def mapping_from_dict(doc: dict) -> MappingResult:
-    return MappingResult(
-        strategy=Strategy(doc["strategy"]),
-        cve_id=doc["cve"],
-        package_key=doc["package"],
-        platform=doc["platform"],
-        confidence=doc["confidence"],
-        evidence=Evidence(
-            kind=doc["evidence"]["kind"], payload=tuple(doc["evidence"]["payload"])
-        ),
-    )
-
-
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    block = bytearray(1 << 20)  # one buffer for the whole file, not a new bytes per read
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -129,9 +118,6 @@ class Workspace:
 
     def report_path(self, name: str, format: str) -> Path:
         return self.root / f"report_{name.replace('-', '_')}.{format}"
-
-    def has_store(self) -> bool:
-        return self.packages_path.exists() and self.cves_path.exists()
 
     # -- locking ----------------------------------------------------------
 
@@ -187,40 +173,44 @@ class Workspace:
                 write(doc)
         return count
 
-    def read_ndjson(self, path: Path) -> Iterator:
-        """Yield the value of each non-blank line of ``path``.
+    @contextlib.contextmanager
+    def _rows(self, path: Path) -> Iterator[Iterator]:
+        """Yield a stream of the value of each non-blank line of ``path``: the one reader.
 
         Whole lines of about ``_READ_CHARS`` characters are decoded at a
         time as one JSON array, so the per-row work runs in C and memory is
-        bounded by one block (or its longest line).
+        bounded by one block (or its longest line). A missing file reads as
+        no rows. A row the block cannot rebuild, or a stream that ends with
+        another row count than summary.json records for ``path``, raises
+        CorruptStore.
         """
-        with open(path, encoding="utf-8") as fh:
-            while lines := fh.readlines(_READ_CHARS):
-                yield from json.loads("[" + ",".join(filter(str.strip, lines)) + "]")
+        expected = self.read_summary().get(path.stem)
 
-    @contextlib.contextmanager
-    def _rows(self, path: Path) -> Iterator[Iterator]:
-        """Yield the rows of ``path``; a row the block cannot rebuild raises CorruptStore."""
-        with contextlib.closing(self.read_ndjson(path)) as rows:
+        def blocks() -> Iterator:
+            read = 0
+            if path.exists():
+                with open(path, encoding="utf-8") as fh:
+                    while lines := fh.readlines(_READ_CHARS):
+                        block = json.loads("[" + ",".join(filter(str.strip, lines)) + "]")
+                        read += len(block)
+                        yield from block
+                        del block  # not held while the next block is read and decoded
+            if expected is not None and read != expected:
+                raise ValueError(f"{read} rows read, summary.json has {expected}")
+
+        with contextlib.closing(blocks()) as rows:
             try:
                 yield rows
             except (ValueError, TypeError, KeyError, IndexError) as exc:
                 raise CorruptStore(path, exc) from None
-
-    def _check_count(self, path: Path, read: int) -> None:
-        """Raise CorruptStore if summary.json records another row count for ``path``."""
-        expected = self.read_summary().get(path.stem)
-        if expected is not None and read != expected:
-            raise CorruptStore(path, ValueError(f"{read} rows read, summary.json has {expected}"))
 
     # -- typed snapshots --------------------------------------------------
 
     def load_packages(self) -> Iterator[PackageRecord]:
         """Yield the packages one at a time: ``report`` only counts them."""
         shared = {}.setdefault  # one string object per distinct platform, license and provider
-        read = 0
         with self._rows(self.packages_path) as rows:
-            for read, (key, platform, name, keywords, license, repo) in enumerate(rows, 1):
+            for key, platform, name, keywords, license, repo in rows:
                 # Chained: every type is the next one, and the last is str.
                 if not type(key) is type(platform) is type(name) is type(license) is str:
                     raise TypeError(f"package {key!r} has a field that is not a string")
@@ -236,25 +226,20 @@ class Workspace:
                     key, shared(platform, platform), name, tuple(keywords),
                     shared(license, license), repo,
                 )
-        self._check_count(self.packages_path, read)
 
     def load_versions(self) -> Iterator[VersionRecord]:
         """Yield the versions one at a time: a versions dump can hold tens of millions."""
-        read = 0
-        if self.versions_path.exists():
-            with self._rows(self.versions_path) as rows:
-                for read, (key, platform, label, published) in enumerate(rows, 1):
-                    # Chained as in load_packages; fromisoformat checks the date.
-                    if not type(key) is type(platform) is type(label) is str:
-                        raise TypeError(f"version {key!r} has a field that is not a string")
-                    yield VersionRecord(key, platform, label, date.fromisoformat(published))
-        self._check_count(self.versions_path, read)
+        with self._rows(self.versions_path) as rows:
+            for key, platform, label, published in rows:
+                # Chained as in load_packages; fromisoformat checks the date.
+                if not type(key) is type(platform) is type(label) is str:
+                    raise TypeError(f"version {key!r} has a field that is not a string")
+                yield VersionRecord(key, platform, label, date.fromisoformat(published))
 
     def load_cves(self) -> Iterator[CveRecord]:
         """Yield the CVEs one at a time; the only decoder of a ``cves.ndjson`` row."""
-        read = 0
         with self._rows(self.cves_path) as rows:
-            for read, (cve_id, summary, references, published, cpes) in enumerate(rows, 1):
+            for cve_id, summary, references, published, cpes in rows:
                 if not CVE_ID_RE.match(cve_id):  # ingest writes no other; .year reads it
                     raise ValueError(f"bad CVE id {cve_id!r}")
                 if type(summary) is not str:  # the matchers lowercase it
@@ -270,11 +255,20 @@ class Workspace:
                     None if published is None else date.fromisoformat(published),
                     tuple(map(CpeRecord._make, cpes)),
                 )
-        self._check_count(self.cves_path, read)
 
-    def load_mappings(self, strategy_key: str) -> list[MappingResult]:
+    def load_mappings(self, strategy_key: str) -> Iterator[MappingResult]:
+        """Yield one strategy's results one at a time: ``report`` only counts them."""
         with self._rows(self.mappings_path(strategy_key)) as rows:
-            return [mapping_from_dict(d) for d in rows]
+            for doc in rows:
+                cve_id, package_key, platform = doc["cve"], doc["package"], doc["platform"]
+                # Chained as in load_packages: the reports hash and sort these.
+                if not type(cve_id) is type(package_key) is type(platform) is str:
+                    raise TypeError(f"mapping of {cve_id!r} has a field that is not a string")
+                evidence = doc["evidence"]
+                yield MappingResult(
+                    Strategy(doc["strategy"]), cve_id, package_key, platform, doc["confidence"],
+                    Evidence(evidence["kind"], tuple(evidence["payload"])),
+                )
 
     def write_summary(self, summary: dict) -> None:
         with open(self.summary_path, "w", encoding="utf-8", newline="") as fh:
@@ -286,6 +280,9 @@ class Workspace:
             return {}
         with open(self.summary_path, encoding="utf-8") as fh:
             try:
-                return json.load(fh)
-            except ValueError as exc:
+                summary = json.load(fh)
+                if type(summary) is not dict:  # every reader calls .get on it
+                    raise TypeError(f"summary.json holds {type(summary).__name__}, not an object")
+            except (ValueError, TypeError) as exc:
                 raise CorruptStore(self.summary_path, exc) from None
+        return summary

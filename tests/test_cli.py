@@ -1,11 +1,14 @@
 import gzip
 import json
 import os
+import random
 import re
+import shutil
 import signal
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -338,7 +341,7 @@ def _set_first_cpe_field(field: int, value):
     return corrupt
 
 
-def _set_first_row_field(field: int, value):
+def _set_first_row_field(field: int | str, value):
     """A corruption that sets one field of the file's first row."""
     def corrupt(data: bytes) -> bytes:
         rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
@@ -391,6 +394,13 @@ CORRUPT_STORES = {
     ),
     "versions-platform-null": ("versions.ndjson", _set_first_row_field(1, None), ("report",)),
     "versions-platform-list": ("versions.ndjson", _set_first_row_field(1, ["NPM"]), ("report",)),
+    "mapping-cve-list": ("mappings_strict.ndjson", _set_first_row_field("cve", ["x"]), ("report",)),
+    "mapping-package-list": (
+        "mappings_fuzzy.ndjson", _set_first_row_field("package", ["x"]), ("report",)
+    ),
+    "mapping-platform-null": (
+        "mappings_repository_all.ndjson", _set_first_row_field("platform", None), ("report",)
+    ),
 }
 
 
@@ -442,7 +452,7 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "TypeError: sequence item 0: expected str instance, int found" in err
     if case in ("cve-references-string", "package-keywords-string"):
         assert "that are not a list" in err
-    if case.startswith("versions-platform-"):
+    if case.startswith(("versions-platform-", "mapping-")):
         assert "has a field that is not a string" in err
     if case == "cpe-product-int":
         assert "TypeError: sequence item 2: expected str instance, int found" in err
@@ -453,11 +463,76 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
 def test_corrupt_summary_exits_1(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
     summary = ws / "summary.json"
-    summary.write_bytes(_cut_mid_line(summary.read_bytes()))
-    code, out, err = run(capsys, "map", "--workspace", str(ws))
-    assert code == 1 and out == ""
-    assert err.startswith(f"vulnmap: error: corrupt store file {summary}: ")
+    cut = _cut_mid_line(summary.read_bytes())
+    # Cut off, then valid JSON documents that are not an object.
+    for bad in (cut, b"[1]\n", b"null\n", b"5\n", b'"x"\n'):
+        summary.write_bytes(bad)
+        before = workspace_bytes(ws)
+        for command in ("map", "report"):
+            code, out, err = run(capsys, command, "--workspace", str(ws))
+            assert code == 1 and out == "", (bad, command)
+            assert err.startswith(f"vulnmap: error: corrupt store file {summary}: ")
+            assert "Traceback" not in err
+            if bad != cut:
+                assert "not an object" in err
+            assert workspace_bytes(ws) == before
+
+
+# Values of each JSON type, set in place of one field at a time; after Miller,
+# Fredriksen and So, "An Empirical Study of the Reliability of UNIX Utilities"
+# (CACM 1990).
+MUTATION_VALUES = (None, 5, 1.5, True, "", [], {}, "x", ["x"], [1])
+MUTATED_FILES = (
+    "packages.ndjson", "versions.ndjson", "cves.ndjson",
+    *(f"mappings_{key}.ndjson" for key in cli.STRATEGY_KEYS), "summary.json",
+)
+
+
+def _first_row_and_rest(path: Path):
+    """The first row of an NDJSON file and the text after it; a JSON file's document and ""."""
+    text = path.read_text(encoding="utf-8")
+    head, _, tail = (text, "", "") if path.suffix == ".json" else text.partition("\n")
+    return json.loads(head), tail
+
+
+def test_seeded_type_mutations_exit_0_or_1_and_an_exit_1_writes_nothing(tmp_path, capsys):
+    base = tmp_path / "base"
+    versions = tmp_path / "versions.csv"
+    versions.write_text(VERSIONS_CSV, encoding="utf-8")
+    assert ingest(capsys, base, PACKAGES, CVES, "--versions", str(versions))[0] == 0
+    assert run(capsys, "map", "--workspace", str(base))[0] == 0
+    fields = {}  # None stands for the whole row; a store row is a list, its fields indexes
+    for name in MUTATED_FILES:
+        row = _first_row_and_rest(base / name)[0]
+        fields[name] = [None, *(range(len(row)) if type(row) is list else row)]
+    rng = random.Random(1990)
+    exits = Counter()
+    for i in range(60):
+        name = rng.choice(MUTATED_FILES)
+        field, value = rng.choice(fields[name]), rng.choice(MUTATION_VALUES)
+        case = f"{name}: field {field!r} set to {value!r}"
+        ws = tmp_path / f"mutant{i}"
+        shutil.copytree(base, ws)
+        row, tail = _first_row_and_rest(ws / name)
+        if field is None:
+            row = value
+        else:
+            row[field] = value
+        (ws / name).write_text(json.dumps(row) + "\n" + tail, encoding="utf-8")
+        for command in ("report", "map"):  # map last: it rewrites the mapping files
+            before = workspace_bytes(ws)
+            try:
+                code, out, err = run(capsys, command, "--workspace", str(ws))
+            except Exception:
+                pytest.fail(f"{command} on {case} raised:\n{traceback.format_exc()}")
+            assert code in (0, 1) and "Traceback" not in err, (case, command, err)
+            if code == 1:
+                assert workspace_bytes(ws) == before, (case, command)
+            exits[code] += 1
+        shutil.rmtree(ws)
+    assert exits[0] and exits[1], exits  # the draw holds rows that read and rows that do not
 
 
 def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch):

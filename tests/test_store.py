@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -20,10 +21,10 @@ from vulnmap.ingest import (
     _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord, load_cves, load_packages,
 )
 from vulnmap.match import Evidence, MappingResult, Strategy, default_lookup_config, run_all
-from vulnmap.report import cve_per_year, package_counts, versions_per_year
-from vulnmap.store import (
-    Workspace, WorkspaceLocked, _dumps, mapping_from_dict, mapping_to_dict,
+from vulnmap.report import (
+    cve_per_year, package_counts, versions_per_year, vulnerable_package_count,
 )
+from vulnmap.store import Workspace, WorkspaceLocked, _dumps, mapping_to_dict, sha256_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,16 +57,29 @@ def test_version_round_trip(tmp_path):
     assert list(ws.load_versions()) == [version]
 
 
-def test_mapping_round_trip_all_strategies():
+def test_mapping_round_trip_all_strategies(tmp_path):
     with open(FIXTURES / "packages_oracle.csv", encoding="utf-8", newline="") as fh:
         packages = list(load_packages(fh, platform_aliases={"rubygems": "Ruby"}))
     with open(FIXTURES / "cves_oracle.ndjson", encoding="utf-8") as fh:
         cves = list(load_cves(fh))
     outcome = run_all(packages, cves, default_lookup_config().lookup)
-    for results in outcome.results.values():
+    ws = Workspace(tmp_path).ensure()
+    for key, results in outcome.results.items():
         assert results
-        for result in results:
-            assert mapping_from_dict(mapping_to_dict(result)) == result
+        ws.write_ndjson(ws.mappings_path(key), map(mapping_to_dict, results))
+        loaded = list(ws.load_mappings(key))
+        assert loaded == results
+        assert [type(r.strategy) for r in loaded] == [Strategy] * len(results)
+        assert [type(r.evidence.payload) for r in loaded] == [tuple] * len(results)
+
+
+@pytest.mark.parametrize("size", [0, 1 << 20, 5 << 19])
+def test_sha256_file_equals_sha256_of_the_bytes(tmp_path, size):
+    # Empty, exactly one 1 MiB block, and two and a half blocks.
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_workspace_snapshots(tmp_path):
@@ -209,7 +223,8 @@ def test_block_reader_agrees_with_per_line_decoding(tmp_path):
     assert len(text) > 20 * _READ_CHARS and not text.endswith("\n")
     ws.packages_path.write_text(text, encoding="utf-8")
     reference = [json.loads(line) for line in text.split("\n") if line.strip()]
-    assert list(ws.read_ndjson(ws.packages_path)) == reference
+    with ws._rows(ws.packages_path) as rows:
+        assert list(rows) == reference
     assert list(ws.load_packages()) == packages
 
 
@@ -243,8 +258,9 @@ def _traced_peak(fn):
 
 
 def test_report_readers_hold_no_records(tmp_path):
-    # What report reads of packages.ndjson, versions.ndjson and cves.ndjson peaks
-    # at a few blocks of lines, not at the record list a full load builds.
+    # What report reads of packages.ndjson, versions.ndjson, cves.ndjson and the
+    # mapping files peaks at a few blocks of lines, not at the record list a full
+    # load builds.
     ws = Workspace(tmp_path).ensure()
     platforms = ("NPM", "Pypi", "Maven", "Go")
     licenses = ("MIT", "Apache-2.0", "")
@@ -290,3 +306,27 @@ def test_report_readers_hold_no_records(tmp_path):
     assert loaded == cves
     assert years == {c.cve_id: c.year for c in cves}
     assert year_peak * 20 < cve_peak, (year_peak, cve_peak)
+
+    keys = {"strict": Strategy.STRICT_NAME, "fuzzy": Strategy.PARTIAL_FUZZY}
+    for key, strategy in keys.items():  # 24 000 rows over 12 (platform, package) pairs
+        ws.write_ndjson(ws.mappings_path(key), (
+            mapping_to_dict(MappingResult(
+                strategy, f"CVE-2019-{10000 + i}", f"P{i % 3}", platforms[i % 4], 1.0,
+                Evidence("product_name_equal", (f"prod{i}",)),
+            ))
+            for i in range(24_000)
+        ))
+    streamed, report = _traced_peak(
+        lambda: vulnerable_package_count({key: ws.load_mappings(key) for key in keys})
+    )
+    mappings = {key: list(ws.load_mappings(key)) for key in keys}
+    listed = sum(sys.getsizeof(m) + sum(sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in m)
+                 for m in mappings.values())
+    assert report == vulnerable_package_count(mappings)
+    assert report.metadata["pair_counts"] == {
+        key: {platform: 6_000 for platform in sorted(platforms)} for key in keys
+    }
+    assert [(r.keys, r.count) for r in report.rows[:2]] == [
+        (("fuzzy", "Go"), 3), (("fuzzy", "Maven"), 3),
+    ]
+    assert streamed * 100 < listed, (streamed, listed)

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
 
-from .cpe import CpeRecord, MalformedCpe, normalize_component, parse_cpe23
+from .cpe import MalformedCpe, normalize_component, parse_cpe23
 
 SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 
@@ -71,23 +71,13 @@ class JsonStructure(ValueError):
     """Document-level JSON malformation that prevents further streaming."""
 
 
-class RepoRef(NamedTuple):
-    provider: str
-    owner: str
-    repository: str
-
-    @property
-    def repo_link(self) -> str:
-        return f"{self.provider}/{self.owner}/{self.repository}"
-
-
 class PackageRecord(NamedTuple):
     package_key: str
     platform: str
     name: str
     keywords: tuple[str, ...] = ()
     license: str = ""
-    repo: RepoRef | None = None
+    repo_link: str | None = None  # "provider/owner/repository"
 
 
 class VersionRecord(NamedTuple):
@@ -97,12 +87,19 @@ class VersionRecord(NamedTuple):
     published: date
 
 
+class CveCpe(NamedTuple):
+    """The two fields of a CPE name that mapping reads, wildcards kept."""
+
+    product: str
+    target_sw: str
+
+
 class CveRecord(NamedTuple):
     cve_id: str
     summary: str
     references: tuple[str, ...]
     published: date | None
-    cpes: tuple[CpeRecord, ...]
+    cpes: tuple[CveCpe, ...]  # distinct, in first-seen order
 
     @property
     def year(self) -> int:
@@ -143,8 +140,8 @@ def open_text_auto(path: str | Path) -> TextIO:
     return open(path, encoding="utf-8-sig", newline="")
 
 
-def extract_repo_ref(url: str) -> RepoRef | None:
-    """Pull (provider, owner, repository) out of a repository URL.
+def extract_repo_link(url: str) -> str | None:
+    """The "provider/owner/repository" link of a repository URL.
 
     Scheme, "www." prefixes, userinfo and ports are ignored; the trailing
     ".git" is stripped from the repository segment. Returns None for
@@ -165,7 +162,7 @@ def extract_repo_ref(url: str) -> RepoRef | None:
         if provider is None:
             return None
         if owner is not None:
-            return _repo_ref(provider, owner, repository)
+            return _repo_link(provider, owner, repository)
     if "://" not in s:
         s = "//" + s.lstrip("/")
     try:
@@ -178,7 +175,7 @@ def extract_repo_ref(url: str) -> RepoRef | None:
     segments = [seg for seg in parts.path.split("/") if seg]
     if len(segments) < 2:
         return None
-    return _repo_ref(provider, segments[0], segments[1])
+    return _repo_link(provider, segments[0], segments[1])
 
 
 def _provider(host: str) -> str | None:
@@ -189,14 +186,14 @@ def _provider(host: str) -> str | None:
     return host if host in SUPPORTED_PROVIDERS else None
 
 
-def _repo_ref(provider: str, owner: str, repository: str) -> RepoRef | None:
+def _repo_link(provider: str, owner: str, repository: str) -> str | None:
     owner = owner.lower()
     repository = repository.lower()
     if repository.endswith(".git"):
         repository = repository[: -len(".git")]
     if not owner or not repository:
         return None
-    return RepoRef(provider, owner, repository)
+    return f"{provider}/{owner}/{repository}"
 
 
 def _split_keywords(text: str) -> tuple[str, ...]:
@@ -298,7 +295,7 @@ def load_packages(
             license_label = row[positions["license"]].strip()
         yield PackageRecord(
             row[positions["id"]].strip(), platform, name, keywords, license_label,
-            extract_repo_ref(row[positions["repository_url"]]),
+            extract_repo_link(row[positions["repository_url"]]),
         )
 
 
@@ -442,7 +439,8 @@ def load_cves(
     included. A value that is not an object becomes a ``not_an_object``
     reject (NDJSON only; in an array it is a JsonStructure error, as are
     empty, truncated and unparseable input). Unparseable CPE strings inside an entry are counted under
-    ``tallies["malformed_cpes"]`` and skipped; the entry is still yielded.
+    ``tallies["malformed_cpes"]`` and skipped; the entry is still yielded,
+    with the distinct ``(product, target_sw)`` pairs of its other CPEs.
     Entries without a well-formed CVE id (or repeating one) become rejects,
     as do entries whose text holds a lone surrogate (``unencodable_text``).
     """
@@ -491,7 +489,8 @@ def load_cves(
         if malformed:
             tally("malformed_cpes", malformed)
         yield CveRecord(
-            cve_id, summary, references, parse_date(entry.get(fields["published"])), tuple(cpes)
+            cve_id, summary, references, parse_date(entry.get(fields["published"])),
+            tuple(map(CveCpe._make, dict.fromkeys((c.product, c.target_sw) for c in cpes))),
         )
 
 

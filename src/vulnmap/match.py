@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .fuzzy import best_match
-from .ingest import CveRecord, PackageRecord, cve_products, extract_repo_ref
+from .ingest import CveRecord, PackageRecord, cve_products, extract_repo_link
 
 
 class Strategy(str, enum.Enum):
@@ -178,11 +178,8 @@ def extract_reference_links(cve: CveRecord) -> list[str]:
     Only supported repository hosts contribute; duplicates are removed
     preserving first-occurrence order.
     """
-    links: dict[str, None] = {}
-    for url in cve.references:
-        ref = extract_repo_ref(url)
-        if ref is not None:
-            links.setdefault(ref.repo_link)
+    links = dict.fromkeys(map(extract_repo_link, cve.references))
+    links.pop(None, None)  # the references on no supported host
     return list(links)
 
 
@@ -249,10 +246,6 @@ def build_indexes(
 def _go_last_segment(pkg: PackageRecord) -> str | None:
     """The last path segment of a Go module name with a path, else None."""
     return pkg.name.rsplit("/", 1)[-1] if pkg.platform == "Go" and "/" in pkg.name else None
-
-
-def _repo_link(pkg: PackageRecord) -> str | None:
-    return None if pkg.repo is None else pkg.repo.repo_link
 
 
 def _cve_target_sw(cve: CveRecord) -> set[str]:
@@ -399,7 +392,7 @@ def repository_map(
     """
     if mode not in ("all", "first"):
         raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
-    by_repo_link = build_indexes(packages, _repo_link)
+    by_repo_link = build_indexes(packages, attrgetter("repo_link"))
 
     def per_cve(cve: CveRecord) -> Iterable[Candidate] | None:
         links = extract_reference_links(cve)

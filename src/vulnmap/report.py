@@ -119,8 +119,8 @@ def package_counts(packages: Iterable[PackageRecord]) -> PackageCounts:
     for pkg in packages:
         platforms[pkg.platform] += 1
         licenses[pkg.license] += 1
-        if pkg.repo is not None:
-            repo_links[pkg.repo.repo_link] += 1
+        if pkg.repo_link is not None:
+            repo_links[pkg.repo_link] += 1
     return counts
 
 

@@ -19,14 +19,20 @@ from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .cpe import _PARTS, CpeRecord
-from .ingest import _READ_CHARS, CVE_ID_RE, CveRecord, PackageRecord, RepoRef, VersionRecord
+from .ingest import _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionRecord
 from .match import Evidence, MappingResult, Strategy
 
+# The strategy that writes each mapping file.
+_FILE_STRATEGIES = {
+    "strict": Strategy.STRICT_NAME, "fuzzy": Strategy.PARTIAL_FUZZY,
+    "repository_all": Strategy.REPOSITORY, "repository_first": Strategy.REPOSITORY,
+}
 LOCK_NAME = ".lock"
 STAGING_NAME = ".staging"
 # Recorded in summary.json; bump it when a store record's fields change.
-STORE_LAYOUT = 2
+STORE_LAYOUT = 3
+# The counts in summary.json: each store file's rows, and ingest's tally.
+_SUMMARY_COUNTS = ("packages", "versions", "cves", "malformed_cpes")
 
 
 class WorkspaceLocked(RuntimeError):
@@ -181,9 +187,10 @@ class Workspace:
         time as one JSON array, so the per-row work runs in C and memory is
         bounded by one block (or its longest line). A missing file reads as
         no rows. A row the block cannot rebuild, or a stream that ends with
-        another row count than summary.json records for ``path``, raises
-        CorruptStore.
+        another row count than summary.json records for ``path`` (a store
+        file with no count there included), raises CorruptStore.
         """
+        counted = path.stem in _SUMMARY_COUNTS and self.summary_path.exists()
         expected = self.read_summary().get(path.stem)
 
         def blocks() -> Iterator:
@@ -195,7 +202,7 @@ class Workspace:
                         read += len(block)
                         yield from block
                         del block  # not held while the next block is read and decoded
-            if expected is not None and read != expected:
+            if counted and read != expected:
                 raise ValueError(f"{read} rows read, summary.json has {expected}")
 
         with contextlib.closing(blocks()) as rows:
@@ -208,23 +215,20 @@ class Workspace:
 
     def load_packages(self) -> Iterator[PackageRecord]:
         """Yield the packages one at a time: ``report`` only counts them."""
-        shared = {}.setdefault  # one string object per distinct platform, license and provider
+        shared = {}.setdefault  # one string object per distinct platform and license
         with self._rows(self.packages_path) as rows:
-            for key, platform, name, keywords, license, repo in rows:
+            for key, platform, name, keywords, license, repo_link in rows:
                 # Chained: every type is the next one, and the last is str.
                 if not type(key) is type(platform) is type(name) is type(license) is str:
                     raise TypeError(f"package {key!r} has a field that is not a string")
                 if type(keywords) is not list:  # tuple() would split a string into letters
                     raise TypeError(f"package {key} has keywords that are not a list")
                 "".join(keywords)  # a TypeError unless every keyword is a str
-                if repo is not None:
-                    if type(repo) is not list:  # RepoRef(*"abc") would split a string
-                        raise TypeError(f"package {key} has a repo that is not a list")
-                    "".join(repo)  # a TypeError unless every field is a str
-                    repo = RepoRef(shared(repo[0], repo[0]), *repo[1:])
+                if repo_link is not None and type(repo_link) is not str:
+                    raise TypeError(f"package {key} has a repo_link that is not a string")
                 yield PackageRecord(
                     key, shared(platform, platform), name, tuple(keywords),
-                    shared(license, license), repo,
+                    shared(license, license), repo_link,
                 )
 
     def load_versions(self) -> Iterator[VersionRecord]:
@@ -244,30 +248,38 @@ class Workspace:
                     raise ValueError(f"bad CVE id {cve_id!r}")
                 if type(summary) is not str:  # the matchers lowercase it
                     raise TypeError(f"CVE {cve_id} has a summary that is not a string")
-                if type(references) is not list:  # tuple() would split a string into letters
-                    raise TypeError(f"CVE {cve_id} has references that are not a list")
+                if type(references) is not list or type(cpes) is not list:  # as keywords are
+                    raise TypeError(f"CVE {cve_id} has references or CPE pairs that are not a list")
                 "".join(references)  # a TypeError unless every reference is a str
-                for c in cpes:  # a freshly decoded list: swap in its Part without an enum call
-                    c[0] = _PARTS[c[0]]
-                    "".join(c)  # a TypeError unless every field is a str, as a Part is
+                for pair in cpes:
+                    if type(pair) is not list:  # CveCpe._make("ab") would split a string
+                        raise TypeError(f"CVE {cve_id} has a CPE pair that is not a list")
+                    "".join(pair)  # a TypeError unless both fields are str
                 yield CveRecord(
                     cve_id, summary, tuple(references),
                     None if published is None else date.fromisoformat(published),
-                    tuple(map(CpeRecord._make, cpes)),
+                    tuple(map(CveCpe._make, cpes)),  # a TypeError unless each pair has 2 fields
                 )
 
     def load_mappings(self, strategy_key: str) -> Iterator[MappingResult]:
         """Yield one strategy's results one at a time: ``report`` only counts them."""
+        strategy = _FILE_STRATEGIES[strategy_key]
         with self._rows(self.mappings_path(strategy_key)) as rows:
             for doc in rows:
                 cve_id, package_key, platform = doc["cve"], doc["package"], doc["platform"]
                 # Chained as in load_packages: the reports hash and sort these.
                 if not type(cve_id) is type(package_key) is type(platform) is str:
                     raise TypeError(f"mapping of {cve_id!r} has a field that is not a string")
-                evidence = doc["evidence"]
+                if doc["strategy"] != strategy.value:
+                    raise ValueError(f"mapping of {cve_id} has strategy {doc['strategy']!r}")
+                confidence, evidence = doc["confidence"], doc["evidence"]
+                kind, payload = evidence["kind"], evidence["payload"]
+                if not (type(confidence) is float and type(kind) is str and type(payload) is list):
+                    raise TypeError(f"mapping of {cve_id} has a wrong confidence or evidence type")
+                "".join(payload)  # a TypeError unless every payload item is a str
                 yield MappingResult(
-                    Strategy(doc["strategy"]), cve_id, package_key, platform, doc["confidence"],
-                    Evidence(evidence["kind"], tuple(evidence["payload"])),
+                    strategy, cve_id, package_key, platform, confidence,
+                    Evidence(kind, tuple(payload)),
                 )
 
     def write_summary(self, summary: dict) -> None:
@@ -283,6 +295,12 @@ class Workspace:
                 summary = json.load(fh)
                 if type(summary) is not dict:  # every reader calls .get on it
                     raise TypeError(f"summary.json holds {type(summary).__name__}, not an object")
+                for key in _SUMMARY_COUNTS:
+                    value = summary.get(key, 0)
+                    if type(value) is not int or value < 0:  # bool is not int
+                        raise ValueError(f"{key!r} is {value!r}, not a count")
+                if type(summary.get("inputs", {})) is not dict:  # copied into every report
+                    raise TypeError(f"'inputs' is {summary['inputs']!r}, not an object")
             except (ValueError, TypeError) as exc:
                 raise CorruptStore(self.summary_path, exc) from None
         return summary

@@ -11,7 +11,7 @@ import re
 from urllib.parse import urlsplit
 
 from vulnmap.fuzzy import EmptyInput, similarity
-from vulnmap.ingest import SUPPORTED_PROVIDERS, CveRecord, PackageRecord, RepoRef, extract_repo_ref
+from vulnmap.ingest import SUPPORTED_PROVIDERS, CveCpe, CveRecord, PackageRecord, extract_repo_link
 from vulnmap.cpe import parse_cpe23
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def oracle_repository(packages, cves, mode) -> set[tuple]:
             if done:
                 break
             for pkg in packages:
-                if pkg.repo is None or pkg.repo.repo_link != link:
+                if pkg.repo_link != link:
                     continue
                 if pkg.package_key in claimed:
                     continue
@@ -220,8 +220,8 @@ def reference_cpe23_fields(uri: str) -> list[str] | None:
 # ---------------------------------------------------------------------------
 
 
-def reference_repo_ref(url: str) -> RepoRef | None:
-    """Pull (provider, owner, repository) out of a repository URL.
+def reference_repo_link(url: str) -> str | None:
+    """The "provider/owner/repository" link of a repository URL.
 
     Scheme, "www." prefixes, userinfo and ports are ignored; the trailing
     ".git" is stripped from the repository segment. Returns None for
@@ -252,7 +252,7 @@ def reference_repo_ref(url: str) -> RepoRef | None:
         repository = repository[: -len(".git")]
     if not owner or not repository:
         return None
-    return RepoRef(provider=host, owner=owner, repository=repository)
+    return f"{host}/{owner}/{repository}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +291,19 @@ def random_package(rng: random.Random, key: str) -> PackageRecord:
         name=name,
         keywords=keywords,
         license=rng.choice(["MIT", "Apache-2.0", "ISC", "GPL-3.0", ""]),
-        repo=extract_repo_ref(url),
+        repo_link=extract_repo_link(url),
     )
 
 
 def random_cve(rng: random.Random, n: int) -> CveRecord:
     year = rng.randint(2015, 2021)
     cve_id = f"CVE-{year}-{2000 + n}"
-    cpes = []
+    cpes: dict[CveCpe, None] = {}  # distinct pairs, first seen first, as load_cves keeps them
     for _ in range(rng.randint(0, 3)):
         product = rng.choice(_BASE_NAMES + ["*"])
         target = rng.choice(_TARGET_SW)
-        cpes.append(parse_cpe23(f"cpe:2.3:a:acme:{product}:*:*:*:*:*:{target}:*:*"))
+        cpe = parse_cpe23(f"cpe:2.3:a:acme:{product}:*:*:*:*:*:{target}:*:*")
+        cpes.setdefault(CveCpe(cpe.product, cpe.target_sw))
     hints = rng.sample(_SUMMARY_HINTS, rng.randint(1, 2))
     summary = f"Issue {n} affecting {' and '.join(h for h in hints if h) or 'software'}."
     references = []

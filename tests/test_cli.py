@@ -1,4 +1,6 @@
+import csv
 import gzip
+import io
 import json
 import os
 import random
@@ -221,6 +223,105 @@ def test_interrupted_ingest_reaps_every_child(tmp_path, capsys, monkeypatch):
     assert not (ws / ".staging").exists()
 
 
+def _fuzz_seeds() -> dict[str, tuple[str, bytes]]:
+    """The ingest inputs to mutate, by name: the flag, then the well-formed bytes."""
+    packages, cves = Path(PACKAGES).read_bytes(), Path(CVES).read_bytes()
+    array = ("[" + ",\n".join(cves.decode("utf-8").splitlines()) + "]").encode("utf-8")
+    return {
+        "packages-csv": ("--packages", packages),
+        "versions-csv": ("--versions", VERSIONS_CSV.encode("utf-8")),
+        "cves-ndjson": ("--cves", cves),
+        "cves-array": ("--cves", array),
+        "packages-gzip": ("--packages", gzip.compress(packages, mtime=0)),
+        "cves-gzip": ("--cves", gzip.compress(array, mtime=0)),
+    }
+
+
+# Bytes that are structure in one of the formats, or not UTF-8.
+_FUZZ_BYTES = b'",\n\r[]{}:\\ \x00\x1f\x80\xff0aT'
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """The data cut short, or with one byte replaced, inserted or deleted, or a span repeated."""
+    at = rng.randrange(len(data))
+    byte = bytes([rng.choice(_FUZZ_BYTES + bytes([rng.randrange(256)]))])
+    return rng.choice((
+        lambda: data[:at],
+        lambda: data[:at] + byte + data[at + 1:],
+        lambda: data[:at] + byte + data[at:],
+        lambda: data[:at] + data[at + 1:],
+        lambda: data[:at] + data[at:at + rng.randrange(1, 200)] + data[at:],
+    ))()
+
+
+def _data_rows(flag: str, data: bytes) -> int:
+    """The input's data rows, CSV rows after the header or top-level JSON values.
+
+    Read without ingest's code: the whole text at once, by the stdlib; raises
+    if the input does not decode.
+    """
+    if data[:2] == b"\x1f\x8b":
+        data = gzip.decompress(data)
+    text = data.decode("utf-8-sig")
+    if flag != "--cves":
+        return len(list(csv.reader(io.StringIO(text, newline="")))) - 1
+    if text.lstrip().startswith("["):
+        return len(json.loads(text))
+    decode, pos, count = json.JSONDecoder().raw_decode, 0, 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            return count
+        pos = decode(text, pos)[1]
+        count += 1
+
+
+def test_fuzzed_inputs_exit_0_or_1_on_both_ingest_paths(tmp_path, capfd, monkeypatch):
+    # Truncations and byte mutations of each input format, after Miller,
+    # Fredriksen and So (CACM 1990). Each mutant is ingested on the one-CPU
+    # and on the forked path; both must agree.
+    seeds = _fuzz_seeds()
+    versions = tmp_path / "versions.csv"
+    versions.write_bytes(seeds["versions-csv"][1])
+    base = {"--packages": PACKAGES, "--cves": CVES, "--versions": str(versions)}
+    workspaces = {cpus: tmp_path / f"ws_{cpus}" for cpus in (1, 2)}
+    for ws in workspaces.values():
+        assert ingest(capfd, ws, PACKAGES, CVES, "--versions", str(versions))[0] == 0
+    rng = random.Random(1990)
+    exits = Counter()
+    for i in range(36):
+        name = rng.choice(sorted(seeds))
+        flag, data = seeds[name]
+        data = _mutate(rng, data)
+        mutant = tmp_path / f"mutant{i}"
+        mutant.write_bytes(data)
+        argv = [arg for key, path in {**base, flag: str(mutant)}.items() for arg in (key, path)]
+        outcomes = {}
+        for cpus, ws in workspaces.items():
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            before = workspace_bytes(ws)
+            code, out, err = run(capfd, "ingest", "--workspace", str(ws), *argv)
+            case = f"{name} mutant {i}, {cpus} CPU(s): {err}"
+            assert code in (0, 1), case
+            assert "Traceback" not in err, case
+            _no_child_left()
+            if code == 1:
+                assert out == "" and err.startswith("vulnmap: error: "), case
+                assert workspace_bytes(ws) == before, case
+            else:
+                summary = json.loads(out)
+                key = flag[2:]
+                assert summary[key] + summary["rejects"].get(key, 0) == _data_rows(flag, data), case
+                rejects = (ws / "rejects.ndjson").read_text(encoding="utf-8").splitlines()
+                assert sum(json.loads(r)["source"] == key for r in rejects) == \
+                    summary["rejects"].get(key, 0), case
+            outcomes[cpus] = (code, err, workspace_bytes(ws) if code == 0 else None)
+        assert outcomes[1] == outcomes[2], f"{name} mutant {i}"
+        exits[code] += 1
+    assert exits[0] >= 5 and exits[1] >= 5, exits  # both outcomes exercised
+
+
 def test_reingest_drops_the_previous_mappings(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert ingest(capsys, ws)[0] == 0
@@ -333,7 +434,7 @@ def _cut_at_line(data: bytes) -> bytes:
 
 
 def _set_first_cpe_field(field: int, value):
-    """A corruption that sets one field of the first CPE row of the CVE rows."""
+    """A corruption that sets one field of the first CPE pair of the CVE rows."""
     def corrupt(data: bytes) -> bytes:
         rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
         next(row for row in rows if row[4])[4][0][field] = value
@@ -350,11 +451,13 @@ def _set_first_row_field(field: int | str, value):
     return corrupt
 
 
-def _short_cpe_row(data: bytes) -> bytes:
-    """The CVE rows with the last of the 12 fields of their first CPE row dropped."""
-    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-    next(row for row in rows if row[4])[4][0].pop()
-    return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+def _set_first_cpe(value):
+    """A corruption that replaces the first CPE pair of the CVE rows."""
+    def corrupt(data: bytes) -> bytes:
+        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        next(row for row in rows if row[4])[4][0] = value
+        return "".join(store._dumps(row) + "\n" for row in rows).encode("utf-8")
+    return corrupt
 
 
 # Each case: the workspace file, how to corrupt its bytes, the commands that read it.
@@ -366,10 +469,15 @@ CORRUPT_STORES = {
     "packages-cut-at-line": ("packages.ndjson", _cut_at_line, ("map", "report")),
     "versions-cut-at-line": ("versions.ndjson", _cut_at_line, ("report",)),
     "cves-cut-at-line": ("cves.ndjson", _cut_at_line, ("map", "report")),
-    "cpe-part-x": ("cves.ndjson", _set_first_cpe_field(0, "x"), ("map", "report")),
-    "cpe-product-int": ("cves.ndjson", _set_first_cpe_field(2, 5), ("map", "report")),
-    "cpe-product-list": ("cves.ndjson", _set_first_cpe_field(2, ["x"]), ("map", "report")),
-    "cpe-row-short": ("cves.ndjson", _short_cpe_row, ("map", "report")),
+    "cpe-product-int": ("cves.ndjson", _set_first_cpe_field(0, 5), ("map", "report")),
+    "cpe-product-list": ("cves.ndjson", _set_first_cpe_field(0, ["x"]), ("map", "report")),
+    "cpe-target-int": ("cves.ndjson", _set_first_cpe_field(1, 5), ("map", "report")),
+    "cpe-row-short": ("cves.ndjson", _set_first_cpe(["lodash"]), ("map", "report")),
+    "cpe-pair-three-fields": (
+        "cves.ndjson", _set_first_cpe(["lodash", "node.js", "x"]), ("map", "report")
+    ),
+    "cpe-pair-string": ("cves.ndjson", _set_first_cpe("ab"), ("map", "report")),
+    "cpe-pairs-object": ("cves.ndjson", _set_first_row_field(4, {}), ("map", "report")),
     "cve-published-empty": ("cves.ndjson", _set_first_row_field(3, ""), ("map", "report")),
     "cve-id-bad": ("cves.ndjson", _set_first_row_field(0, "CVE-x"), ("map", "report")),
     "cve-summary-null": ("cves.ndjson", _set_first_row_field(1, None), ("map", "report")),
@@ -377,14 +485,10 @@ CORRUPT_STORES = {
     "cve-references-string": (
         "cves.ndjson", _set_first_row_field(2, "https://x"), ("map", "report")
     ),
-    "package-repo-empty": ("packages.ndjson", _set_first_row_field(5, []), ("map", "report")),
-    "package-repo-string": ("packages.ndjson", _set_first_row_field(5, "abc"), ("map", "report")),
-    "package-repo-owner-int": (
-        "packages.ndjson", _set_first_row_field(5, ["github.com", 5, "r"]), ("map", "report")
+    "package-repo-link-list": (
+        "packages.ndjson", _set_first_row_field(5, ["github.com/lodash/lodash"]), ("map", "report")
     ),
-    "package-repo-field-null": (
-        "packages.ndjson", _set_first_row_field(5, ["github.com", "o", None]), ("map", "report")
-    ),
+    "package-repo-link-int": ("packages.ndjson", _set_first_row_field(5, 5), ("map", "report")),
     "package-key-list": ("packages.ndjson", _set_first_row_field(0, []), ("map",)),
     "package-platform-null": ("packages.ndjson", _set_first_row_field(1, None), ("report",)),
     "package-name-null": ("packages.ndjson", _set_first_row_field(2, None), ("map",)),
@@ -400,6 +504,25 @@ CORRUPT_STORES = {
     ),
     "mapping-platform-null": (
         "mappings_repository_all.ndjson", _set_first_row_field("platform", None), ("report",)
+    ),
+    "mapping-confidence-string": (
+        "mappings_strict.ndjson", _set_first_row_field("confidence", "high"), ("report",)
+    ),
+    "mapping-kind-int": (
+        "mappings_fuzzy.ndjson", _set_first_row_field("evidence", {"kind": 5, "payload": []}),
+        ("report",)
+    ),
+    "mapping-payload-string": (
+        "mappings_strict.ndjson",
+        _set_first_row_field("evidence", {"kind": "summary_keyword", "payload": "abc"}),
+        ("report",)
+    ),
+    "mapping-payload-int": (
+        "mappings_repository_first.ndjson",
+        _set_first_row_field("evidence", {"kind": "repo_link", "payload": [1]}), ("report",)
+    ),
+    "mapping-strategy-other": (
+        "mappings_strict.ndjson", _set_first_row_field("strategy", "repository"), ("report",)
     ),
 }
 
@@ -425,11 +548,13 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert workspace_bytes(ws) == before
         assert sorted(p.name for p in ws.iterdir()) == sorted(before)
         if case == "cpe-row-short":
-            assert "TypeError: Expected 12 arguments, got 11" in err
+            assert "TypeError: Expected 2 arguments, got 1" in err
         if case.endswith("-cut-at-line"):
             assert "rows read, summary.json has" in err
-    if case == "cpe-part-x":
-        assert "KeyError: 'x'" in err
+    if case == "cpe-pair-three-fields":
+        assert "TypeError: Expected 2 arguments, got 3" in err
+    if case == "cpe-pair-string":
+        assert "has a CPE pair that is not a list" in err
     if case == "cve-published-empty":
         assert "ValueError: Invalid isoformat string: ''" in err
     if case == "cve-id-bad":
@@ -438,26 +563,28 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "has a summary that is not a string" in err
     if case == "cve-reference-int":
         assert "TypeError: sequence item 0: expected str instance, int found" in err
-    if case == "package-repo-empty":
-        assert "IndexError: list index out of range" in err
-    if case == "package-repo-string":
-        assert "has a repo that is not a list" in err
-    if case == "package-repo-owner-int":
-        assert "TypeError: sequence item 1: expected str instance, int found" in err
-    if case == "package-repo-field-null":
-        assert "TypeError: sequence item 2: expected str instance, NoneType found" in err
+    if case.startswith("package-repo-link-"):
+        assert "has a repo_link that is not a string" in err
     if case in ("package-key-list", "package-platform-null", "package-name-null"):
         assert "has a field that is not a string" in err
     if case == "package-keyword-int":
         assert "TypeError: sequence item 0: expected str instance, int found" in err
-    if case in ("cve-references-string", "package-keywords-string"):
+    if case in ("cve-references-string", "package-keywords-string", "cpe-pairs-object"):
         assert "that are not a list" in err
-    if case.startswith(("versions-platform-", "mapping-")):
+    if case.startswith("versions-platform-") or case in (
+        "mapping-cve-list", "mapping-package-list", "mapping-platform-null"
+    ):
         assert "has a field that is not a string" in err
     if case == "cpe-product-int":
-        assert "TypeError: sequence item 2: expected str instance, int found" in err
+        assert "TypeError: sequence item 0: expected str instance, int found" in err
     if case == "cpe-product-list":
-        assert "TypeError: sequence item 2: expected str instance, list found" in err
+        assert "TypeError: sequence item 0: expected str instance, list found" in err
+    if case in ("cpe-target-int", "mapping-payload-int"):
+        assert "expected str instance, int found" in err
+    if case in ("mapping-confidence-string", "mapping-kind-int", "mapping-payload-string"):
+        assert "has a wrong confidence or evidence type" in err
+    if case == "mapping-strategy-other":
+        assert "has strategy 'repository'" in err
 
 
 def test_corrupt_summary_exits_1(tmp_path, capsys):
@@ -478,6 +605,44 @@ def test_corrupt_summary_exits_1(tmp_path, capsys):
             if bad != cut:
                 assert "not an object" in err
             assert workspace_bytes(ws) == before
+
+
+# Each case: the summary.json keys to set (to ...: delete the key), whether
+# cves.ndjson is cut at a line boundary too, and the file the error names.
+BAD_SUMMARIES = {
+    "cves-null-cut": ({"cves": None}, True, "summary.json"),
+    "cves-count-missing-cut": ({"cves": ...}, True, "cves.ndjson"),
+    "inputs-int": ({"inputs": 5}, False, "summary.json"),
+    "malformed-cpes-list": ({"malformed_cpes": ["x"]}, False, "summary.json"),
+    "versions-count-bool": ({"versions": True}, False, "summary.json"),
+    "packages-count-negative": ({"packages": -1}, False, "summary.json"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SUMMARIES)
+def test_summary_with_a_bad_count_exits_1(tmp_path, capsys, case):
+    changes, cut, named = BAD_SUMMARIES[case]
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    summary = json.loads((ws / "summary.json").read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        if value is ...:
+            del summary[key]
+        else:
+            summary[key] = value
+    (ws / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    if cut:
+        (ws / "cves.ndjson").write_bytes(_cut_at_line((ws / "cves.ndjson").read_bytes()))
+    before = workspace_bytes(ws)
+    for command in ("map", "report"):
+        code, out, err = run(capsys, command, "--workspace", str(ws))
+        assert code == 1 and out == "", (command, err)
+        assert err.startswith(f"vulnmap: error: corrupt store file {ws / named}: "), err
+        assert "Traceback" not in err
+        assert workspace_bytes(ws) == before
+    if named == "summary.json":
+        assert "not a count" in err or "not an object" in err
 
 
 # Values of each JSON type, set in place of one field at a time; after Miller,

@@ -17,9 +17,10 @@ from helpers import (
 from vulnmap.cpe import parse_cpe23
 from vulnmap.fuzzy import best_match, similarity
 from vulnmap.ingest import (
+    CveCpe,
     CveRecord,
     PackageRecord,
-    extract_repo_ref,
+    extract_repo_link,
     load_cves,
     load_packages,
     open_text_auto,
@@ -34,7 +35,6 @@ from vulnmap.match import (
     _candidates,
     _go_last_segment,
     _haystack,
-    _repo_link,
     build_indexes,
     default_lookup_config,
     extract_reference_links,
@@ -58,12 +58,12 @@ def mk_pkg(key, platform, name, keywords=(), repo_url="", license=""):
         name=name,
         keywords=tuple(keywords),
         license=license,
-        repo=extract_repo_ref(repo_url),
+        repo_link=extract_repo_link(repo_url),
     )
 
 
 def mk_cve(cve_id, summary="", refs=(), products=(), year=2019):
-    cpes = tuple(
+    cpes = (
         parse_cpe23(f"cpe:2.3:a:acme:{product}:*:*:*:*:*:{target}:*:*")
         for product, target in products
     )
@@ -72,7 +72,7 @@ def mk_cve(cve_id, summary="", refs=(), products=(), year=2019):
         summary=summary,
         references=tuple(refs),
         published=date(year, 1, 1),
-        cpes=cpes,
+        cpes=tuple(dict.fromkeys(CveCpe(c.product, c.target_sw) for c in cpes)),
     )
 
 
@@ -81,7 +81,7 @@ def mk_cve(cve_id, summary="", refs=(), products=(), year=2019):
 VIEW_KEYS = {
     "name": attrgetter("name"),
     "platform": attrgetter("platform"),
-    "repo_link": _repo_link,
+    "repo_link": attrgetter("repo_link"),
     "go_last_segment": _go_last_segment,
 }
 
@@ -93,7 +93,7 @@ def fixture_packages(name):
 
 def test_build_indexes_shared_repo_preserves_source_order():
     records = fixture_packages("packages_small.csv")
-    shared = build_indexes(records, _repo_link)["github.com/facebook/react"]
+    shared = build_indexes(records, attrgetter("repo_link"))["github.com/facebook/react"]
     assert shared == [r for r in records if r.package_key in ("P002", "P003")]
     # react before react-dom, as in the CSV
     assert [p.package_key for p in shared] == ["P002", "P003"]

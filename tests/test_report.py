@@ -196,7 +196,7 @@ def test_package_counts_fold_any_iterable():
     assert counts.platforms == Counter(p.platform for p in packages)
     assert counts.licenses == Counter(p.license for p in packages)
     assert counts.licenses[""] == 4
-    assert counts.repo_links == Counter(p.repo.repo_link for p in packages if p.repo)
+    assert counts.repo_links == Counter(p.repo_link for p in packages if p.repo_link)
 
 
 @pytest.mark.parametrize("build", [platform_project_share, license_distribution, top_repo_links])

@@ -16,9 +16,8 @@ import pytest
 
 import vulnmap
 from test_match import mk_cve, mk_pkg
-from vulnmap.cpe import CpeRecord, Part
 from vulnmap.ingest import (
-    _READ_CHARS, CveRecord, PackageRecord, RepoRef, VersionRecord, load_cves, load_packages,
+    _READ_CHARS, CveCpe, CveRecord, PackageRecord, VersionRecord, load_cves, load_packages,
 )
 from vulnmap.match import Evidence, MappingResult, Strategy, default_lookup_config, run_all
 from vulnmap.report import (
@@ -46,8 +45,7 @@ def test_cve_round_trip(tmp_path):
     ws.write_ndjson(ws.cves_path, (dated, undated))
     loaded = list(ws.load_cves())
     assert loaded == [dated, undated]
-    assert loaded[0].cpes[1].product == "foo:bar"
-    assert loaded[0].cpes[0].part is Part.APPLICATION
+    assert loaded[0].cpes == (CveCpe("lodash", "node.js"), CveCpe("foo:bar", "*"))
 
 
 def test_version_round_trip(tmp_path):
@@ -155,7 +153,7 @@ def _scalar(rng: random.Random):
     return rng.choice((
         None, True, False, 0, -1, 2**70, rng.randrange(-10**6, 10**6), 0.5, -0.0, 1e300,
         math.nan, math.inf, -math.inf, rng.random(), date(rng.randrange(1, 10_000), 12, 31),
-        _text(rng), Part.HARDWARE,
+        _text(rng),
     ))
 
 
@@ -176,14 +174,14 @@ def _document(rng: random.Random):
     text = functools.partial(_text, rng)
     kind = rng.randrange(6)
     if kind == 0:
-        repo = rng.choice((None, RepoRef(text(), text(), text())))
-        return PackageRecord(text(), text(), text(), (text(), text()), text(), repo)
+        repo_link = rng.choice((None, text()))
+        return PackageRecord(text(), text(), text(), (text(), text()), text(), repo_link)
     if kind == 1:
         return VersionRecord(text(), text(), text(), date(rng.randrange(1, 10_000), 2, 28))
     if kind == 2:
-        cpe = CpeRecord(rng.choice(list(Part)), *(text() for _ in range(11)))
+        pair = CveCpe(text(), text())
         return CveRecord(f"CVE-2019-{rng.randrange(10**4, 10**6)}", text(), (text(),),
-                         rng.choice((None, date(2019, 1, 1))), (cpe, cpe))
+                         rng.choice((None, date(2019, 1, 1))), (pair, pair))
     if kind == 3:
         evidence = Evidence(text(), (text(), text()))
         return mapping_to_dict(MappingResult(rng.choice(list(Strategy)), text(), text(), text(),
@@ -228,22 +226,21 @@ def test_block_reader_agrees_with_per_line_decoding(tmp_path):
     assert list(ws.load_packages()) == packages
 
 
-def test_loaded_records_hold_parts_and_tuples(tmp_path):
+def test_loaded_records_hold_pairs_and_tuples(tmp_path):
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.packages_path, (
         mk_pkg("p1", "NPM", "lodash", keywords=("a", "b"), repo_url="https://github.com/a/b"),
     ))
-    cve = mk_cve("CVE-2019-0001", refs=("https://x",), products=[("lodash", "node.js")])
-    cve = cve._replace(cpes=cve.cpes + (cve.cpes[0]._replace(part=Part.OPERATING_SYSTEM),))
+    cve = mk_cve("CVE-2019-0001", refs=("https://x",),
+                 products=[("lodash", "node.js"), ("lodash", "*")])
     ws.write_ndjson(ws.cves_path, (cve,))
     [package] = ws.load_packages()
-    assert type(package.keywords) is tuple and type(package.repo) is RepoRef
+    assert type(package.keywords) is tuple and package.repo_link == "github.com/a/b"
     [loaded] = ws.load_cves()
     assert loaded == cve
     assert type(loaded.references) is tuple and type(loaded.cpes) is tuple
-    assert [type(c) for c in loaded.cpes] == [CpeRecord, CpeRecord]
-    assert [type(c.part) for c in loaded.cpes] == [Part, Part]
-    assert [c.part for c in loaded.cpes] == [Part.APPLICATION, Part.OPERATING_SYSTEM]
+    assert [type(c) for c in loaded.cpes] == [CveCpe, CveCpe]
+    assert loaded.cpes == (("lodash", "node.js"), ("lodash", "*"))
 
 
 def _traced_peak(fn):
@@ -267,7 +264,7 @@ def test_report_readers_hold_no_records(tmp_path):
     with open(ws.packages_path, "w", encoding="utf-8") as fh:
         fh.writelines(  # 160 distinct repository links: the counters stay small
             f'["P{i}", "{platforms[i % 4]}", "name-{i}", ["kw{i % 7}"], "{licenses[i % 3]}", '
-            + ("null]\n" if i % 5 == 0 else f'["github.com", "o{i % 40}", "r{i % 25}"]]\n')
+            + ("null]\n" if i % 5 == 0 else f'"github.com/o{i % 40}/r{i % 25}"]\n')
             for i in range(100_000)
         )
     with open(ws.versions_path, "w", encoding="utf-8") as fh:

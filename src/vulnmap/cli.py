@@ -8,7 +8,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from . import ingest as ing
 from . import report as rep
@@ -296,22 +296,35 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             }
             stage.write_summary(summary)
         # Only once the new store is in: the old mappings and reports describe the old store.
-        stale = [workspace.mappings_path(key) for key in STRATEGY_KEYS]
+        stale = [workspace.mappings_path(key) for key in STRATEGY_KEYS] + [workspace.manifest_path]
         stale += [workspace.report_path(name, f) for name in ALL_REPORTS for f in REPORT_FORMATS]
         for path in stale:
             path.unlink(missing_ok=True)
     return summary
 
 
+class _PackageStream:
+    """The store's packages, read afresh on each iteration, so that no package list is held.
+
+    ``run_all`` iterates it once; a caller that runs it once per strategy
+    gets a new stream each time.
+    """
+
+    def __init__(self, workspace: store.Workspace):
+        self.workspace = workspace
+
+    def __iter__(self) -> Iterator[ing.PackageRecord]:
+        return self.workspace.load_packages()
+
+
 def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     _require_store(workspace)
     lookup = _lookup(args).lookup
     with workspace.lock():
-        packages = list(workspace.load_packages())
         cves = list(workspace.load_cves())
         summary = workspace.read_summary()
         outcome = run_all(
-            packages,
+            _PackageStream(workspace),
             cves,
             lookup,
             cutoff=args.cutoff,
@@ -319,13 +332,20 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             go_last_segment=args.go_last_segment,
         )
         outcome.tallies["malformed_cpes"] = summary.get("malformed_cpes", 0)
-        # Mapping files are written to .staging and moved in only once all are written.
+        # The counts of the mapping files this run leaves as they are.
+        rows = {
+            key: count for key, count in workspace.read_manifest().items()
+            if key not in outcome.results and workspace.mappings_path(key).exists()
+        }
+        # Mapping files are written to .staging and moved in only once all are
+        # written, the manifest of their row counts last.
         with workspace.staging() as stage:
             for strategy_key, results in outcome.results.items():
-                stage.write_ndjson(
+                rows[strategy_key] = stage.write_ndjson(
                     stage.mappings_path(strategy_key),
                     (store.mapping_to_dict(r) for r in results),
                 )
+            stage.write_manifest(rows)
     return {
         "tallies": outcome.tallies,
         "results": {k: len(v) for k, v in outcome.results.items()},

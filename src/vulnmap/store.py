@@ -20,13 +20,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .ingest import _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionRecord
-from .match import Evidence, MappingResult, Strategy
+from .match import KEY_STRATEGIES, Evidence, MappingResult
 
-# The strategy that writes each mapping file.
-_FILE_STRATEGIES = {
-    "strict": Strategy.STRICT_NAME, "fuzzy": Strategy.PARTIAL_FUZZY,
-    "repository_all": Strategy.REPOSITORY, "repository_first": Strategy.REPOSITORY,
-}
 LOCK_NAME = ".lock"
 STAGING_NAME = ".staging"
 # Recorded in summary.json; bump it when a store record's fields change.
@@ -119,6 +114,10 @@ class Workspace:
     def summary_path(self) -> Path:
         return self.root / "summary.json"
 
+    @property
+    def manifest_path(self) -> Path:
+        return self.root / "mappings.json"
+
     def mappings_path(self, strategy_key: str) -> Path:
         return self.root / f"mappings_{strategy_key}.ndjson"
 
@@ -149,7 +148,8 @@ class Workspace:
         """Yield an empty workspace in ``.staging``; commit its files when the block ends.
 
         On a normal exit each staged file replaces the file of the same name
-        here with ``os.replace``, ``summary.json`` last. On an exception the
+        here with ``os.replace``, ``summary.json`` or ``mappings.json``, the
+        file that holds the others' row counts, last. On an exception the
         staged files are discarded and no file here changes. Call it while
         holding the lock.
         """
@@ -158,8 +158,8 @@ class Workspace:
         stage.ensure()
         try:
             yield stage
-            summary_name = stage.summary_path.name
-            for path in sorted(stage.root.iterdir(), key=lambda p: p.name == summary_name):
+            counts = (stage.summary_path.name, stage.manifest_path.name)
+            for path in sorted(stage.root.iterdir(), key=lambda p: p.name in counts):
                 os.replace(path, self.root / path.name)
         finally:
             shutil.rmtree(stage.root, ignore_errors=True)
@@ -187,11 +187,16 @@ class Workspace:
         time as one JSON array, so the per-row work runs in C and memory is
         bounded by one block (or its longest line). A missing file reads as
         no rows. A row the block cannot rebuild, or a stream that ends with
-        another row count than summary.json records for ``path`` (a store
-        file with no count there included), raises CorruptStore.
+        another row count than summary.json records for a store file, or
+        mappings.json for a mapping file (a file with no count there
+        included), raises CorruptStore.
         """
-        counted = path.stem in _SUMMARY_COUNTS and self.summary_path.exists()
-        expected = self.read_summary().get(path.stem)
+        key = path.stem.removeprefix("mappings_")
+        if key in KEY_STRATEGIES:  # a mapping file
+            counts, expected = self.manifest_path, self.read_manifest().get(key)
+        else:
+            counts, expected = self.summary_path, self.read_summary().get(key)
+        counted = counts.exists() and (key in KEY_STRATEGIES or key in _SUMMARY_COUNTS)
 
         def blocks() -> Iterator:
             read = 0
@@ -203,7 +208,7 @@ class Workspace:
                         yield from block
                         del block  # not held while the next block is read and decoded
             if counted and read != expected:
-                raise ValueError(f"{read} rows read, summary.json has {expected}")
+                raise ValueError(f"{read} rows read, {counts.name} has {expected}")
 
         with contextlib.closing(blocks()) as rows:
             try:
@@ -263,7 +268,7 @@ class Workspace:
 
     def load_mappings(self, strategy_key: str) -> Iterator[MappingResult]:
         """Yield one strategy's results one at a time: ``report`` only counts them."""
-        strategy = _FILE_STRATEGIES[strategy_key]
+        strategy = KEY_STRATEGIES[strategy_key]
         with self._rows(self.mappings_path(strategy_key)) as rows:
             for doc in rows:
                 cve_id, package_key, platform = doc["cve"], doc["package"], doc["platform"]
@@ -282,10 +287,33 @@ class Workspace:
                     Evidence(kind, tuple(payload)),
                 )
 
-    def write_summary(self, summary: dict) -> None:
-        with open(self.summary_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(summary, fh, indent=2, ensure_ascii=False, sort_keys=True)
+    def _write_json(self, path: Path, doc: dict) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            json.dump(doc, fh, indent=2, ensure_ascii=False, sort_keys=True)
             fh.write("\n")
+
+    def write_summary(self, summary: dict) -> None:
+        self._write_json(self.summary_path, summary)
+
+    def write_manifest(self, rows: dict[str, int]) -> None:
+        """Record the row count of each mapping file, by strategy key, in mappings.json."""
+        self._write_json(self.manifest_path, {"rows": rows})
+
+    def read_manifest(self) -> dict[str, int]:
+        """The row counts that mappings.json records, by strategy key; {} when there is none."""
+        if not self.manifest_path.exists():
+            return {}
+        with open(self.manifest_path, encoding="utf-8") as fh:
+            try:
+                rows = json.load(fh)["rows"]  # a TypeError if the document is not an object
+                if type(rows) is not dict:
+                    raise TypeError(f"'rows' is {rows!r}, not an object")
+                for key, value in rows.items():
+                    if type(value) is not int or value < 0:  # bool is not int
+                        raise ValueError(f"{key!r} is {value!r}, not a count")
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CorruptStore(self.manifest_path, exc) from None
+        return rows
 
     def read_summary(self) -> dict:
         if not self.summary_path.exists():

@@ -334,10 +334,43 @@ def test_reingest_drops_the_previous_mappings(tmp_path, capsys):
     )
     assert code == 0
     assert not list(ws.glob("mappings_*.ndjson"))
+    assert not (ws / "mappings.json").exists()
     assert not list(ws.glob("report_*"))
     code, _, err = run(capsys, "report", "--workspace", str(ws), "--report", "vulnerable-packages")
     assert code == 1
     assert "vulnmap map" in err
+
+
+def _line_counts(ws: Path) -> dict[str, int]:
+    return {path.stem.removeprefix("mappings_"): len(path.read_bytes().splitlines())
+            for path in ws.glob("mappings_*.ndjson")}
+
+
+def test_mapping_manifest_counts_every_mapping_file(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws), "--strategy", "strict")[0] == 0
+    manifest = ws / "mappings.json"
+    assert json.loads(manifest.read_text(encoding="utf-8")) == {"rows": _line_counts(ws)}
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    # A run of one strategy keeps the counts of the files it leaves as they are.
+    assert run(capsys, "map", "--workspace", str(ws), "--strategy", "repository",
+               "--mode", "first")[0] == 0
+    counts = _line_counts(ws)
+    assert sorted(counts) == sorted(cli.STRATEGY_KEYS)
+    assert json.loads(manifest.read_text(encoding="utf-8")) == {"rows": counts}
+    assert run(capsys, "report", "--workspace", str(ws))[0] == 0
+    # A mapping file with no count, and a manifest that is not one, are corrupt.
+    no_fuzzy = {key: n for key, n in counts.items() if key != "fuzzy"}
+    for doc, named in (({"rows": no_fuzzy}, "mappings_fuzzy.ndjson"),
+                       ({"rows": {**counts, "strict": -1}}, "mappings.json"),
+                       ({"rows": [1]}, "mappings.json"), ([], "mappings.json")):
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        before = workspace_bytes(ws)
+        code, out, err = run(capsys, "report", "--workspace", str(ws))
+        assert code == 1 and out == "", err
+        assert err.startswith(f"vulnmap: error: corrupt store file {ws / named}: "), err
+        assert workspace_bytes(ws) == before
 
 
 def test_store_from_another_version_must_be_ingested_again(tmp_path, capsys):
@@ -469,6 +502,7 @@ CORRUPT_STORES = {
     "packages-cut-at-line": ("packages.ndjson", _cut_at_line, ("map", "report")),
     "versions-cut-at-line": ("versions.ndjson", _cut_at_line, ("report",)),
     "cves-cut-at-line": ("cves.ndjson", _cut_at_line, ("map", "report")),
+    "mappings-cut-at-line": ("mappings_strict.ndjson", _cut_at_line, ("report",)),
     "cpe-product-int": ("cves.ndjson", _set_first_cpe_field(0, 5), ("map", "report")),
     "cpe-product-list": ("cves.ndjson", _set_first_cpe_field(0, ["x"]), ("map", "report")),
     "cpe-target-int": ("cves.ndjson", _set_first_cpe_field(1, 5), ("map", "report")),
@@ -550,7 +584,8 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         if case == "cpe-row-short":
             assert "TypeError: Expected 2 arguments, got 1" in err
         if case.endswith("-cut-at-line"):
-            assert "rows read, summary.json has" in err
+            counts = "mappings.json" if name.startswith("mappings_") else "summary.json"
+            assert f"rows read, {counts} has" in err
     if case == "cpe-pair-three-fields":
         assert "TypeError: Expected 2 arguments, got 3" in err
     if case == "cpe-pair-string":

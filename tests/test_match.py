@@ -1,5 +1,6 @@
 import json
 import random
+from array import array
 from datetime import date
 from itertools import accumulate
 from operator import attrgetter
@@ -32,9 +33,7 @@ from vulnmap.match import (
     SUMMARY_KEYWORD,
     PlatformLookup,
     Strategy,
-    _candidates,
-    _go_last_segment,
-    _haystack,
+    FuzzyView,
     build_indexes,
     default_lookup_config,
     extract_reference_links,
@@ -78,12 +77,24 @@ def mk_cve(cve_id, summary="", refs=(), products=(), year=2019):
 
 # -- package views ---------------------------------------------------------------
 
+# What each view is keyed by, and the build_indexes demand that asks for it.
 VIEW_KEYS = {
-    "name": attrgetter("name"),
-    "platform": attrgetter("platform"),
-    "repo_link": attrgetter("repo_link"),
-    "go_last_segment": _go_last_segment,
+    "name": (attrgetter("name"), lambda wanted: {"names": wanted}),
+    "platform": (attrgetter("platform"), lambda wanted: {"platforms": wanted}),
+    "repo_link": (attrgetter("repo_link"), lambda wanted: {"links": wanted}),
+    "go_last_segment": (
+        lambda p: p.name.rsplit("/", 1)[-1] if p.platform == "Go" and "/" in p.name else None,
+        lambda wanted: {"names": wanted, "go_last_segment": True},
+    ),
 }
+
+
+def view_of(views, key):
+    """The view built for ``key``, as value -> [(package_key, platform)]."""
+    if key == "platform":
+        return {platform: [(k, platform) for k in view.keys] for platform, view in views.fuzzy.items()}
+    return {"name": views.by_name, "repo_link": views.by_link,
+            "go_last_segment": views.by_last_segment}[key]
 
 
 def fixture_packages(name):
@@ -93,25 +104,35 @@ def fixture_packages(name):
 
 def test_build_indexes_shared_repo_preserves_source_order():
     records = fixture_packages("packages_small.csv")
-    shared = build_indexes(records, attrgetter("repo_link"))["github.com/facebook/react"]
-    assert shared == [r for r in records if r.package_key in ("P002", "P003")]
+    views = build_indexes(iter(records), links={"github.com/facebook/react"})
+    shared = views.by_link["github.com/facebook/react"]
+    assert shared == [(r.package_key, r.platform) for r in records
+                      if r.package_key in ("P002", "P003")]
     # react before react-dom, as in the CSV
-    assert [p.package_key for p in shared] == ["P002", "P003"]
+    assert [key for key, _ in shared] == ["P002", "P003"]
+    assert views.by_name == views.by_last_segment == views.fuzzy == {}
 
 
 def test_build_indexes_empty():
-    for key in VIEW_KEYS.values():
-        assert build_indexes([], key) == {}
+    views = build_indexes([], names={"a"}, links={"b"}, platforms={"NPM"}, go_last_segment=True)
+    assert views.by_name == views.by_last_segment == views.by_link == {}
+    assert views.fuzzy == {"NPM": FuzzyView("", array("q", [0]), [], {})}
+    assert build_indexes([]) == build_indexes(fixture_packages("packages_oracle.csv"))
 
 
-@pytest.mark.parametrize("key", VIEW_KEYS.values(), ids=VIEW_KEYS.keys())
+@pytest.mark.parametrize("key", VIEW_KEYS, ids=VIEW_KEYS.keys())
 def test_build_indexes_key_count_matches_bruteforce(key):
+    # Every other value is asked for, and one no package has: the view keeps
+    # exactly the packages of the values asked for, each in source order.
     packages = fixture_packages("packages_oracle.csv")
-    groups = build_indexes(packages, key)
-    assert None not in groups
-    assert set(groups) == {key(p) for p in packages} - {None}
-    for k, pkgs in groups.items():
-        assert pkgs == [p for p in packages if key(p) == k]  # every record, in source order
+    of, demand = VIEW_KEYS[key]
+    values = sorted({of(p) for p in packages} - {None})
+    assert len(values) > 1
+    wanted = set(values[::2]) | {"absent"}
+    groups = view_of(build_indexes(iter(packages), **demand(wanted)), key)
+    expected = {v: [(p.package_key, p.platform) for p in packages if of(p) == v] for v in wanted}
+    # A platform asked for gets a view, if empty; the other views keep only what exists.
+    assert groups == {v: held for v, held in expected.items() if held or key == "platform"}
 
 
 # -- strict -------------------------------------------------------------------
@@ -267,8 +288,16 @@ def scan_candidates(pool, product):
     return [p for p in pool if product in p.name or any(product in kw for kw in p.keywords)]
 
 
-def search_candidates(pool, product):
-    return list(_candidates(pool, *_haystack(pool), product))
+def fuzzy_view(pool):
+    return build_indexes(iter(pool), platforms={"NPM"}).fuzzy["NPM"]
+
+
+def search_candidates(view, product):
+    return [(view.keys[i], view.name(i)) for i in view.candidates(product)]
+
+
+def scanned(pool, product):
+    return [(p.package_key, p.name) for p in scan_candidates(pool, product)]
 
 
 CANDIDATE_CASES = {
@@ -293,11 +322,11 @@ CANDIDATE_CASES = {
 def test_candidate_search_equals_scan(case):
     rows, product = CANDIDATE_CASES[case]
     pool = [mk_pkg(key, "NPM", name, keywords) for key, name, *keywords in rows]
-    assert search_candidates(pool, product) == scan_candidates(pool, product)
+    assert search_candidates(fuzzy_view(pool), product) == scanned(pool, product)
 
 
 def test_haystack_equals_per_package_segments_on_random_pools():
-    # The construction _haystack replaced: one joined segment per package.
+    # The fuzzy view's text against one joined segment per package.
     rng = random.Random(1717)
     alphabet = "ab\0é😀"
 
@@ -310,8 +339,14 @@ def test_haystack_equals_per_package_segments_on_random_pools():
             for i in range(rng.randint(0, 10))
         ]
         segments = ["\0".join((pkg.name, *pkg.keywords)) + "\0" for pkg in pool]
-        expected = "".join(segments), list(accumulate(map(len, segments), initial=0))
-        assert _haystack(pool) == expected
+        view = fuzzy_view(pool)
+        assert view.text == "".join(segments)
+        assert list(view.starts) == list(accumulate(map(len, segments), initial=0))
+        assert view.keys == [pkg.package_key for pkg in pool]
+        assert view.nul_fields == {
+            i: (pkg.name, *pkg.keywords) for i, pkg in enumerate(pool)
+            if "\0" in pkg.name + "".join(pkg.keywords)
+        }
 
 
 def test_candidate_search_equals_scan_on_random_pools():
@@ -329,9 +364,9 @@ def test_candidate_search_equals_scan_on_random_pools():
             mk_pkg(f"k{i}", "NPM", word(1), [word(0) for _ in range(rng.randint(0, 3))])
             for i in range(rng.randint(0, 12))
         ]
-        text, starts = _haystack(pool)
+        view = fuzzy_view(pool)
         for product in products:
-            assert list(_candidates(pool, text, starts, product)) == scan_candidates(pool, product)
+            assert search_candidates(view, product) == scanned(pool, product)
 
 
 def test_fuzzy_equals_oracle_on_small_alphabet_corpora():

@@ -327,3 +327,42 @@ def test_report_readers_hold_no_records(tmp_path):
         (("fuzzy", "Go"), 3), (("fuzzy", "Maven"), 3),
     ]
     assert streamed * 100 < listed, (streamed, listed)
+
+
+def test_map_holds_no_package_list(tmp_path, capsys):
+    # The CVEs name no package, ask for a platform no package is on and link
+    # no package's repository: map keeps nothing of the packages, so its peak
+    # does not grow with their count, as a package list would.
+    from vulnmap import cli
+
+    platforms = ("NPM", "Pypi", "Maven", "Go")
+    cves = [
+        mk_cve(f"CVE-2019-{10000 + i}", summary=f"rubygems entry {i}",
+               refs=(f"https://github.com/absent/r{i}",),
+               products=[(f"absent{i}-{j}", "node.js") for j in range(4)])
+        for i in range(200)
+    ]
+    peaks = {}
+    for count in (10_000, 40_000):
+        ws = Workspace(tmp_path / str(count)).ensure()
+        with open(ws.packages_path, "w", encoding="utf-8") as fh:
+            fh.writelines(
+                f'["P{i}", "{platforms[i % 4]}", "name-{i}", ["kw{i % 7}"], "MIT", '
+                f'"github.com/o{i}/r{i}"]\n'
+                for i in range(count)
+            )
+        ws.write_ndjson(ws.cves_path, cves)
+        ws.write_summary({"packages": count, "versions": 0, "cves": len(cves),
+                          "store_layout": vulnmap.store.STORE_LAYOUT})
+        peaks[count], code = _traced_peak(lambda: cli.main(["map", "--workspace", str(ws.root)]))
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        summary = json.loads(out)
+        assert summary["results"] == dict.fromkeys(summary["results"], 0)
+        assert summary["tallies"]["fuzzy"]["unmatched"] == len(cves)  # Ruby was inferred
+    packages = list(ws.load_packages())
+    listed = sys.getsizeof(packages) + sum(sys.getsizeof(p) + sum(map(sys.getsizeof, p))
+                                           for p in packages)
+    # What the 30 000 more packages take as a list: a twentieth of it is the bound.
+    grown = listed * 30_000 // 40_000
+    assert (peaks[40_000] - peaks[10_000]) * 20 < grown, (peaks, grown)

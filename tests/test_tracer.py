@@ -19,13 +19,17 @@ PERFBENCH = ROOT / "perfbench"
 
 def traced(tmp_path, *argv):
     trace = tmp_path / f"trace-{argv[0]}.json"
+    vulnmap(str(PERFBENCH / "tracer.py"), str(trace), *argv)
+    return json.loads(trace.read_text(encoding="utf-8"))
+
+
+def vulnmap(*argv):
+    """Run ``python ARGV`` with ``src`` and ``perfbench`` on the path; assert it exits 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "tracer.py"), str(trace), *argv],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(trace.read_text(encoding="utf-8"))
 
 
 def test_traced_report_spans_every_report_and_loads_packages_once(tmp_path, monkeypatch):
@@ -54,3 +58,22 @@ def test_traced_map_times_fuzzy_scoring(tmp_path):
     assert trace["counts"].get("fuzzy.best_match", 0) >= 1
     # One package view per strategy, each built through the wrapped match.build_indexes.
     assert names.count("ingest.build_indexes") == 4
+
+
+def test_traced_map_writes_what_an_untraced_map_writes(tmp_path):
+    # The tracer calls run_all once per strategy with the same packages, so
+    # each pass must read the packages afresh.
+    written = {}
+    for how in ("traced", "untraced"):
+        ws = tmp_path / how
+        vulnmap("-m", "vulnmap", "ingest", "--workspace", str(ws),
+                "--packages", str(FIXTURES / "packages_oracle.csv"),
+                "--cves", str(FIXTURES / "cves_oracle.ndjson"))
+        if how == "traced":
+            traced(tmp_path, "map", "--workspace", str(ws))
+        else:
+            vulnmap("-m", "vulnmap", "map", "--workspace", str(ws))
+        written[how] = {p.name: p.read_bytes() for p in sorted(ws.glob("mappings*"))}
+    assert written["traced"] == written["untraced"]
+    assert len(written["traced"]) == 5  # four mapping files and their manifest
+    assert all(written["traced"].values())

@@ -8,7 +8,6 @@ import json
 import re
 from bisect import bisect_right
 from functools import lru_cache
-from importlib.resources import files as resource_files
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
@@ -125,6 +124,9 @@ def load_lookup_config(path: str | Path) -> LookupConfig:
 
 def default_lookup_config() -> LookupConfig:
     """Lookup table shipped with the package (editable copy via --lookup)."""
+    # Only here: from Python 3.12 importing it loads inspect, which report never needs.
+    from importlib.resources import files as resource_files
+
     text = resource_files("vulnmap").joinpath("data/default_lookup.json").read_text("utf-8")
     return _to_lookup_config(json.loads(text))
 

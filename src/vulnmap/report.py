@@ -6,12 +6,14 @@ import csv
 import heapq
 import json
 from collections import Counter
-from decimal import Decimal
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
 from .ingest import PackageRecord, VersionRecord
 from .match import MappingResult
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 OTHERS_LABEL = "Others"
 UNSPECIFIED_LABEL = "(unspecified)"
@@ -45,6 +47,8 @@ def _shares(counts: list[int]) -> list[Decimal]:
     rows; largest-remainder apportionment keeps every share within half a
     cent of exact while pinning the sum.
     """
+    from decimal import Decimal  # only here: only a report with shares needs libmpdec
+
     total = sum(counts)
     if total == 0:
         return [Decimal("0.00") for _ in counts]

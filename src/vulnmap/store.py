@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import hashlib
 import json
 import os
 import shutil
@@ -37,12 +36,12 @@ class WorkspaceLocked(RuntimeError):
 class CorruptStore(ValueError):
     """A workspace file that does not read back as the rows its writer wrote."""
 
-    def __init__(self, path: Path, exc: Exception):
+    def __init__(self, path: Path, exc: Exception, rerun: str = "ingest"):
         # A JSON error's position is within a block of lines, not the file.
         reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
         super().__init__(
             f"corrupt store file {path}: {type(exc).__name__}: {reason}; "
-            "run 'vulnmap ingest' again"
+            f"run 'vulnmap {rerun}' again"
         )
 
 
@@ -73,6 +72,8 @@ def mapping_to_dict(result: MappingResult) -> dict:
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib  # only here: it loads OpenSSL, which only ingest's digests need
+
     digest = hashlib.sha256()
     block = bytearray(1 << 20)  # one buffer for the whole file, not a new bytes per read
     view = memoryview(block)
@@ -188,12 +189,14 @@ class Workspace:
         bounded by one block (or its longest line). A missing file reads as
         no rows. A row the block cannot rebuild, or a stream that ends with
         another row count than summary.json records for a store file, or
-        mappings.json for a mapping file (a file with no count there
-        included), raises CorruptStore.
+        mappings.json for a mapping file (a file with no count there, or
+        no mappings.json at all, included), raises CorruptStore.
         """
         key = path.stem.removeprefix("mappings_")
         if key in KEY_STRATEGIES:  # a mapping file
             counts, expected = self.manifest_path, self.read_manifest().get(key)
+            if path.exists() and not counts.exists():  # map writes it with every mapping file
+                raise CorruptStore(path, FileNotFoundError(f"{counts.name} is missing"), "map")
         else:
             counts, expected = self.summary_path, self.read_summary().get(key)
         counted = counts.exists() and (key in KEY_STRATEGIES or key in _SUMMARY_COUNTS)
@@ -329,6 +332,8 @@ class Workspace:
                         raise ValueError(f"{key!r} is {value!r}, not a count")
                 if type(summary.get("inputs", {})) is not dict:  # copied into every report
                     raise TypeError(f"'inputs' is {summary['inputs']!r}, not an object")
+                if type(summary.get("store_layout", 0)) is not int:  # 3.0 == 3, True == 1
+                    raise TypeError(f"'store_layout' is {summary['store_layout']!r}, not an integer")
             except (ValueError, TypeError) as exc:
                 raise CorruptStore(self.summary_path, exc) from None
         return summary

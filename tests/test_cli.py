@@ -223,6 +223,47 @@ def test_interrupted_ingest_reaps_every_child(tmp_path, capsys, monkeypatch):
     assert not (ws / ".staging").exists()
 
 
+def test_killed_ingest_leaves_the_lock_to_its_input_processes(tmp_path, capsys):
+    """The forked input processes inherit the lock and keep it until they finish their input."""
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    versions = tmp_path / "versions.csv"  # about a second of reading for its process
+    with open(versions, "w", encoding="utf-8") as fh:
+        fh.write(VERSIONS_CSV)
+        fh.writelines(f"NPM,lodash,P001,1.0.{i},2019-02-03 10:00:00 UTC\n" for i in range(200_000))
+    # Two CPUs whatever this machine has, so that ingest forks.
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from vulnmap.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "ingest", "--workspace", str(ws),
+         "--packages", PACKAGES, "--cves", CVES, "--versions", str(versions)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        staged, deadline = ws / ".staging" / "versions.ndjson", time.monotonic() + 60
+        while not (staged.exists() and staged.stat().st_size):  # its process has begun
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait()
+        for argv in (["ingest", "--packages", PACKAGES, "--cves", CVES], ["map"]):
+            code, out, err = run(capsys, argv[0], "--workspace", str(ws), *argv[1:])
+            assert code == 1 and out == ""
+            assert err == f"vulnmap: error: workspace {ws} is locked by another command\n"
+        # Every process that inherited stderr, the lock's holders among them, has exited.
+        assert proc.communicate(timeout=120)[1] == ""
+    finally:
+        proc.kill()
+    with Workspace(ws).lock():
+        pass
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted([*before, ".staging"])
+    assert ingest(capsys, ws)[0] == 0
+    assert not (ws / ".staging").exists()
+
+
 def _fuzz_seeds() -> dict[str, tuple[str, bytes]]:
     """The ingest inputs to mutate, by name: the flag, then the well-formed bytes."""
     packages, cves = Path(PACKAGES).read_bytes(), Path(CVES).read_bytes()
@@ -371,6 +412,16 @@ def test_mapping_manifest_counts_every_mapping_file(tmp_path, capsys):
         assert code == 1 and out == "", err
         assert err.startswith(f"vulnmap: error: corrupt store file {ws / named}: "), err
         assert workspace_bytes(ws) == before
+    # A deleted manifest does not turn the count check off.
+    manifest.unlink()
+    strict = ws / "mappings_strict.ndjson"
+    strict.write_bytes(strict.read_bytes().splitlines(keepends=True)[0])
+    before = workspace_bytes(ws)
+    code, out, err = run(capsys, "report", "--workspace", str(ws), "--report", "vulnerable-packages")
+    assert code == 1 and out == "", err
+    assert err.startswith(f"vulnmap: error: corrupt store file {strict}: "), err
+    assert err.endswith("mappings.json is missing; run 'vulnmap map' again\n"), err
+    assert workspace_bytes(ws) == before
 
 
 def test_store_from_another_version_must_be_ingested_again(tmp_path, capsys):
@@ -651,6 +702,7 @@ BAD_SUMMARIES = {
     "malformed-cpes-list": ({"malformed_cpes": ["x"]}, False, "summary.json"),
     "versions-count-bool": ({"versions": True}, False, "summary.json"),
     "packages-count-negative": ({"packages": -1}, False, "summary.json"),
+    "store-layout-float": ({"store_layout": 3.0}, False, "summary.json"),  # 3.0 == STORE_LAYOUT
 }
 
 
@@ -677,7 +729,7 @@ def test_summary_with_a_bad_count_exits_1(tmp_path, capsys, case):
         assert "Traceback" not in err
         assert workspace_bytes(ws) == before
     if named == "summary.json":
-        assert "not a count" in err or "not an object" in err
+        assert "not a count" in err or "not an object" in err or "not an integer" in err
 
 
 # Values of each JSON type, set in place of one field at a time; after Miller,
@@ -1278,6 +1330,8 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert added.isdisjoint({"dataclasses", "inspect"})
     # Ingest forks its input processes itself, without these modules' import time.
     assert added.isdisjoint({"multiprocessing", "concurrent.futures", "pickle"})
+    # OpenSSL and libmpdec are loaded only where used: ingest's digests, report's shares.
+    assert added.isdisjoint({"hashlib", "_hashlib", "decimal", "_decimal"})
     # The README promises immutable records.
     evidence = vulnmap.Evidence(vulnmap.match.REPO_LINK, ("github.com/a/b",))
     result = vulnmap.MappingResult(

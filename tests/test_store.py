@@ -64,7 +64,8 @@ def test_mapping_round_trip_all_strategies(tmp_path):
     ws = Workspace(tmp_path).ensure()
     for key, results in outcome.results.items():
         assert results
-        ws.write_ndjson(ws.mappings_path(key), map(mapping_to_dict, results))
+        rows = ws.write_ndjson(ws.mappings_path(key), map(mapping_to_dict, results))
+        ws.write_manifest({key: rows})  # a mapping file is read against its count
         loaded = list(ws.load_mappings(key))
         assert loaded == results
         assert [type(r.strategy) for r in loaded] == [Strategy] * len(results)
@@ -305,6 +306,7 @@ def test_report_readers_hold_no_records(tmp_path):
     assert year_peak * 20 < cve_peak, (year_peak, cve_peak)
 
     keys = {"strict": Strategy.STRICT_NAME, "fuzzy": Strategy.PARTIAL_FUZZY}
+    ws.write_manifest(dict.fromkeys(keys, 24_000))
     for key, strategy in keys.items():  # 24 000 rows over 12 (platform, package) pairs
         ws.write_ndjson(ws.mappings_path(key), (
             mapping_to_dict(MappingResult(

@@ -124,10 +124,11 @@ def _load_cve_fields(path: Path) -> dict[str, str]:
 
 
 def _require_store(workspace: store.Workspace) -> None:
-    if not (workspace.packages_path.exists() and workspace.cves_path.exists()):
-        raise CommandError(
-            f"workspace {workspace.root} has no normalized store; run 'vulnmap ingest' first"
-        )
+    for path in (workspace.packages_path, workspace.cves_path, workspace.summary_path):
+        if not path.exists():
+            raise CommandError(
+                f"workspace {workspace.root} has no {path.name}; run 'vulnmap ingest' first"
+            )
     if workspace.read_summary().get("store_layout") != store.STORE_LAYOUT:
         raise CommandError(
             f"workspace {workspace.root} holds a store from another vulnmap version; "

@@ -190,16 +190,18 @@ class Workspace:
         no rows. A row the block cannot rebuild, or a stream that ends with
         another row count than summary.json records for a store file, or
         mappings.json for a mapping file (a file with no count there, or
-        no mappings.json at all, included), raises CorruptStore.
+        beside no summary.json or mappings.json at all, included), raises
+        CorruptStore.
         """
         key = path.stem.removeprefix("mappings_")
-        if key in KEY_STRATEGIES:  # a mapping file
-            counts, expected = self.manifest_path, self.read_manifest().get(key)
-            if path.exists() and not counts.exists():  # map writes it with every mapping file
-                raise CorruptStore(path, FileNotFoundError(f"{counts.name} is missing"), "map")
-        else:
-            counts, expected = self.summary_path, self.read_summary().get(key)
-        counted = counts.exists() and (key in KEY_STRATEGIES or key in _SUMMARY_COUNTS)
+        mapping = key in KEY_STRATEGIES
+        counts = self.manifest_path if mapping else self.summary_path
+        if path.exists() and not counts.exists():  # its writer writes both, the counts last
+            raise CorruptStore(
+                path, FileNotFoundError(f"{counts.name} is missing"), "map" if mapping else "ingest"
+            )
+        expected = (self.read_manifest() if mapping else self.read_summary()).get(key)
+        counted = counts.exists() and (mapping or key in _SUMMARY_COUNTS)
 
         def blocks() -> Iterator:
             read = 0

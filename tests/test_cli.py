@@ -445,6 +445,32 @@ def test_store_from_another_version_must_be_ingested_again(tmp_path, capsys):
     assert sorted(p.name for p in ws.iterdir()) == sorted(before)
 
 
+def test_a_store_beside_no_summary_is_not_read_unchecked(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    rerun = "; run 'vulnmap ingest' first\n"
+    # Commands on an empty workspace name the first store file it lacks.
+    code, out, err = run(capsys, "map", "--workspace", str(ws))
+    assert code == 1 and out == ""
+    assert err == f"vulnmap: error: workspace {ws} has no packages.ndjson{rerun}"
+    assert ingest(capsys, ws)[0] == 0
+    (ws / "summary.json").unlink()
+    cves = ws / "cves.ndjson"
+    cves.write_bytes(_cut_at_line(cves.read_bytes()))
+    before = workspace_bytes(ws)
+    for command in ("map", "report"):
+        code, out, err = run(capsys, command, "--workspace", str(ws))
+        assert code == 1 and out == "", err
+        assert err == f"vulnmap: error: workspace {ws} has no summary.json{rerun}"
+        assert workspace_bytes(ws) == before
+    # Read through the library, the cut file is corrupt, not a shorter store.
+    with pytest.raises(store.CorruptStore) as raised:
+        list(store.Workspace(ws).load_cves())
+    assert str(raised.value) == (
+        f"corrupt store file {cves}: FileNotFoundError: summary.json is missing; "
+        "run 'vulnmap ingest' again"
+    )
+
+
 def test_ingest_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
     ws = tmp_path / "ws"
     env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}

@@ -269,8 +269,16 @@ def test_best_match_equals_reference_loop_bit_for_bit():
         # "preamble-of-something" comes first and shares one trigram: a cosine
         # under its bound, so only the cutoff rules it out.
         ("react", ["preamble-of-something", "create-react-app-cli", "reactive-streams-tools"], 0),
-        # After the exact match scores 1.0, "reactor" (bound 5/7) cannot win.
-        ("react", ["react", "reactor", "reactors"], 1),
+        # The exact match has the highest bound, so it is scored first, at 1.0
+        # with no distance (each contains the other); "reactor" (bound 5/7)
+        # and "reactors" are then cut by their bounds, unscored.
+        ("react", ["react", "reactor", "reactors"], 0),
+        # Equal lengths, so a length bound of 1.0 above the cosine of 1/5, and
+        # neither contains the other: only the distance gives the edit score.
+        ("react", ["raect"], 1),
+        # A bound of 5/7 above the cosine of 4/sqrt(35), but the query
+        # contains the candidate: the distance is the length difference.
+        ("reactjs", ["react"], 0),
     ],
 )
 def test_best_match_skips_edit_distance_that_cannot_change_the_result(
@@ -285,3 +293,75 @@ def test_best_match_skips_edit_distance_that_cannot_change_the_result(
     monkeypatch.setattr("vulnmap.fuzzy.levenshtein", counting_levenshtein)
     assert best_match(query, candidates, 0.3) == _ref_best_match(query, candidates, 0.3)
     assert len(counted) == calls
+
+
+def _ref_bound(nq: str, nc: str) -> float:
+    """best_match's first-pass bound, from dict-of-counts grams."""
+    for n, size in ((3, len(nc)), (2, len(nc) + 1)):
+        gq, gc = _ref_grams(nq, n), _ref_grams(nc, n)
+        dot = sum(count * gc.get(g, 0) for g, count in gq.items())
+        if dot:
+            break
+    magnitude = math.sqrt(sum(v * v for v in gq.values()))
+    return max(dot / (magnitude * math.sqrt(size)),
+               1.0 - abs(len(nq) - len(nc)) / max(len(nq), len(nc)))
+
+
+def test_best_match_equals_reference_loop_on_long_repetitive_words():
+    # Few letters make grams that overlap themselves ("aaa", "aba", "aa"),
+    # which str.count would undercount; 1-2 character queries have few
+    # trigrams, so many candidates share none and are bounded by bigrams.
+    rng = random.Random(4711)
+    seen = Counter()
+    for _ in range(3000):
+        alphabet = rng.choice(["ab-", "a-", "ab", "abc-", "ab.c"])
+
+        def word(longest: int) -> str:
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
+        query = word(2) if rng.random() < 0.4 else word(30)
+        candidates = [word(30) for _ in range(rng.randint(0, 12))]
+        cutoff = rng.choice([-0.5, 0.0, 0.3, 1.0])
+        got = best_match(query, candidates, cutoff)
+        expected = _ref_best_match(query, candidates, cutoff)
+        assert got == expected, (query, candidates, cutoff)
+        if got is not None:
+            assert got[1].hex() == expected[1].hex()
+            nq, nc = normalize(query), normalize(got[0])
+            seen["bigram winner"] += not _ref_cosine(nq, nc, 3) and _ref_cosine(nq, nc, 2) > 0
+        nq = normalize(query)
+        seen["self-overlapping query gram"] += any(
+            g[0] in g[1:] for n in (2, 3) for g in _ref_grams(nq, n))
+        seen[cutoff] += got is not None
+    for case in ("bigram winner", "self-overlapping query gram", -0.5, 0.0, 0.3, 1.0):
+        assert seen[case] > 0, case
+
+
+def test_an_exact_match_leaves_only_candidates_bounded_at_1_to_score(monkeypatch):
+    scored = []
+
+    def counting_cosine_to(profile, grams):
+        scored.append(grams)
+        return _cosine_to(profile, grams)
+
+    monkeypatch.setattr("vulnmap.fuzzy._cosine_to", counting_cosine_to)
+    rng = random.Random(99)
+    reached = cut = 0
+    for _ in range(500):
+        query = "".join(rng.choice("abc-") for _ in range(rng.randint(1, 8)))
+        nq = normalize(query)
+        if not nq:
+            continue
+        # Lengths near the query's, whose length bounds are near or at 1.0.
+        lengths = (max(1, len(nq) - 1), len(nq), len(nq) + 1, 30)
+        candidates = ["".join(rng.choice("abc-") for _ in range(rng.choice(lengths)))
+                      for _ in range(rng.randint(0, 10))]
+        candidates.insert(rng.randint(0, len(candidates)), query.upper() + "!")
+        bounds = [_ref_bound(nq, normalize(c)) for c in candidates if normalize(c)]
+        scored.clear()
+        got = best_match(query, candidates, rng.choice([0.0, 0.3, 1.0]))
+        assert got is not None and got[1] == 1.0
+        assert len(scored) == sum(b >= 1.0 for b in bounds), (query, candidates)
+        reached += len(scored) - 1
+        cut += len(bounds) - len(scored)
+    assert reached > 0 and cut > 0

@@ -23,7 +23,9 @@ from vulnmap.match import Evidence, MappingResult, Strategy, default_lookup_conf
 from vulnmap.report import (
     cve_per_year, package_counts, versions_per_year, vulnerable_package_count,
 )
-from vulnmap.store import Workspace, WorkspaceLocked, _dumps, mapping_to_dict, sha256_file
+from vulnmap.store import (
+    CorruptStore, Workspace, WorkspaceLocked, _dumps, mapping_to_dict, sha256_file,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,6 +36,7 @@ def test_package_round_trip(tmp_path):
     without_repo = mk_pkg("p2", "Pypi", "requests")
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.packages_path, (with_repo, without_repo))
+    ws.write_summary({"packages": 2})  # a store file is read against its count
     assert list(ws.load_packages()) == [with_repo, without_repo]
 
 
@@ -43,6 +46,7 @@ def test_cve_round_trip(tmp_path):
     undated = dated._replace(cve_id="CVE-2019-0002", published=None)
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.cves_path, (dated, undated))
+    ws.write_summary({"cves": 2})
     loaded = list(ws.load_cves())
     assert loaded == [dated, undated]
     assert loaded[0].cpes == (CveCpe("lodash", "node.js"), CveCpe("foo:bar", "*"))
@@ -52,6 +56,7 @@ def test_version_round_trip(tmp_path):
     version = VersionRecord("p1", "NPM", "1.0.0", date(2019, 2, 3))
     ws = Workspace(tmp_path).ensure()
     ws.write_ndjson(ws.versions_path, (version,))
+    ws.write_summary({"versions": 1})
     assert list(ws.load_versions()) == [version]
 
 
@@ -86,10 +91,13 @@ def test_workspace_snapshots(tmp_path):
     packages = [mk_pkg("p1", "NPM", "lodash"), mk_pkg("p2", "Pypi", "requests")]
     count = ws.write_ndjson(ws.packages_path, packages)
     assert count == 2
+    # A store file beside no summary.json is not read unchecked.
+    with pytest.raises(CorruptStore, match="summary.json is missing; run 'vulnmap ingest' again"):
+        list(ws.load_packages())
+    ws.write_summary({"packages": 2, "versions": 0})
+    assert ws.read_summary() == {"packages": 2, "versions": 0}
     assert list(ws.load_packages()) == packages
     assert list(ws.load_versions()) == []  # file absent
-    ws.write_summary({"packages": 2})
-    assert ws.read_summary() == {"packages": 2}
 
 
 def test_workspace_lock_is_exclusive_and_released(tmp_path):
@@ -221,6 +229,7 @@ def test_block_reader_agrees_with_per_line_decoding(tmp_path):
     text = "\n".join(lines)
     assert len(text) > 20 * _READ_CHARS and not text.endswith("\n")
     ws.packages_path.write_text(text, encoding="utf-8")
+    ws.write_summary({"packages": len(packages)})
     reference = [json.loads(line) for line in text.split("\n") if line.strip()]
     with ws._rows(ws.packages_path) as rows:
         assert list(rows) == reference
@@ -235,6 +244,7 @@ def test_loaded_records_hold_pairs_and_tuples(tmp_path):
     cve = mk_cve("CVE-2019-0001", refs=("https://x",),
                  products=[("lodash", "node.js"), ("lodash", "*")])
     ws.write_ndjson(ws.cves_path, (cve,))
+    ws.write_summary({"packages": 1, "cves": 1})
     [package] = ws.load_packages()
     assert type(package.keywords) is tuple and package.repo_link == "github.com/a/b"
     [loaded] = ws.load_cves()

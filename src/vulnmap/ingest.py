@@ -7,7 +7,9 @@ import gzip
 import json
 import re
 import zlib
+from collections import deque
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 from urllib.parse import urlsplit
@@ -34,6 +36,8 @@ _PLAIN_URL = re.compile(
 # hold more text: with 64 KiB reads a small-entry NDJSON load peaked at
 # 0.33 MB traced, against 0.05 MB with these.
 _READ_CHARS = 8192
+# Bytes read from the head of a CSV input to estimate its data rows.
+_HEAD_BYTES = 1 << 16
 
 # Libraries.io CSV schemas (logical field -> header name).
 DEFAULT_PACKAGE_COLUMNS = {
@@ -125,6 +129,7 @@ def parse_date(text) -> date | None:
 # not a whole gzip stream: a truncated one raises EOFError, a corrupt one
 # zlib.error or BadGzipFile.
 INPUT_DECODE_ERRORS = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
+_GZIP_MAGIC = b"\x1f\x8b"
 
 
 def open_text_auto(path: str | Path) -> TextIO:
@@ -135,7 +140,7 @@ def open_text_auto(path: str | Path) -> TextIO:
     """
     with open(path, "rb") as raw:
         magic = raw.read(2)
-    if magic == b"\x1f\x8b":
+    if magic == _GZIP_MAGIC:
         return gzip.open(path, "rt", encoding="utf-8-sig", newline="")
     return open(path, encoding="utf-8-sig", newline="")
 
@@ -196,6 +201,23 @@ def _repo_link(provider: str, owner: str, repository: str) -> str | None:
     return f"{provider}/{owner}/{repository}"
 
 
+def csv_row_ranges(path: str | Path, parts: int) -> list[tuple[int, int | None]]:
+    """Cut a CSV file's data rows into ``parts`` ranges for the ``row_range`` of a loader.
+
+    Part i is rows [i*K, (i+1)*K), the last to the end, with K the data rows
+    over ``parts`` estimated from the first ``_HEAD_BYTES`` of the file. A
+    gzip file, which every part would decompress from its start, is one
+    range; so is a file whose head ends no line, which gives no estimate.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEAD_BYTES)
+    lines = head.count(b"\n")  # the header and data rows, if no field holds a newline
+    if head.startswith(_GZIP_MAGIC) or not lines:
+        return [(0, None)]
+    k = (Path(path).stat().st_size * lines // len(head) - 1) // parts
+    return [(i * k, (i + 1) * k if i < parts - 1 else None) for i in range(parts)]
+
+
 def _split_keywords(text: str) -> tuple[str, ...]:
     tokens = []
     for tok in text.split(","):
@@ -211,14 +233,20 @@ def _read_csv(
     label: str,
     rejects: RejectSink | None,
     optional: frozenset[str] = frozenset(),
+    row_range: tuple[int, int | None] = (0, None),
 ) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]], Callable[[int, str, object], None]]:
-    """Read a CSV header, then stream the data rows as ``(row_number, row)``.
+    """Read a CSV header, then stream the data rows in ``row_range`` as ``(row_number, row)``.
 
     Returns the column index of each logical field in ``columns``, the row
     stream, and a ``reject(row_number, reason, data)`` function that files
     rejects under ``label``. Rows whose width differs from the header's are
     rejected as ``field_count`` and not yielded. Raises CsvStructure for an
     empty input, a missing header that is not ``optional``, or broken quoting.
+
+    ``row_range`` is ``(first, stop)``: the data rows after the first
+    ``first``, up to row number ``stop`` (None: to the end). The rows before
+    it are parsed and dropped, so a row's number is its number in the whole
+    input, wherever quoted newlines fall.
     """
     reader = csv.reader(source)
     try:
@@ -241,21 +269,21 @@ def _read_csv(
 
     def rows() -> Iterator[tuple[int, list[str]]]:
         width = len(header)
-        row_number = 0
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                return
-            except csv.Error as exc:
-                raise CsvStructure(
-                    f"broken CSV structure near data row {row_number + 1}: {exc}"
-                ) from None
-            row_number += 1
-            if len(row) != width:
-                reject(row_number, "field_count", row)
-                continue
-            yield row_number, row
+        row_number, stop = row_range
+        try:
+            # The rows before the range, dropped in C. Broken quoting there
+            # is the error of the range that holds it, read before this one.
+            deque(islice(reader, row_number), maxlen=0)
+            for row in islice(reader, None if stop is None else stop - row_number):
+                row_number += 1
+                if len(row) != width:
+                    reject(row_number, "field_count", row)
+                    continue
+                yield row_number, row
+        except csv.Error as exc:
+            raise CsvStructure(
+                f"broken CSV structure near data row {row_number + 1}: {exc}"
+            ) from None
 
     return positions, rows(), reject
 
@@ -264,8 +292,9 @@ def load_packages(
     source: Iterable[str],
     rejects: RejectSink | None = None,
     platform_aliases: dict[str, str] | None = None,
+    row_range: tuple[int, int | None] = (0, None),
 ) -> Iterator[PackageRecord]:
-    """Stream PackageRecords out of a package-metadata CSV.
+    """Stream PackageRecords out of a package-metadata CSV's data rows in ``row_range``.
 
     Rows with an empty name or platform go to the rejects sink instead of
     being dropped; every data row ends up as exactly one record or one
@@ -275,7 +304,7 @@ def load_packages(
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
     positions, rows, reject = _read_csv(
         source, DEFAULT_PACKAGE_COLUMNS, "packages", rejects,
-        optional=frozenset({"keywords", "license"}),
+        optional=frozenset({"keywords", "license"}), row_range=row_range,
     )
     for row_number, row in rows:
         name = normalize_component(row[positions["name"]])
@@ -303,10 +332,13 @@ def load_versions(
     source: Iterable[str],
     rejects: RejectSink | None = None,
     platform_aliases: dict[str, str] | None = None,
+    row_range: tuple[int, int | None] = (0, None),
 ) -> Iterator[VersionRecord]:
-    """Stream VersionRecords out of a published-versions CSV."""
+    """Stream VersionRecords out of a published-versions CSV's data rows in ``row_range``."""
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
-    positions, rows, reject = _read_csv(source, DEFAULT_VERSION_COLUMNS, "versions", rejects)
+    positions, rows, reject = _read_csv(
+        source, DEFAULT_VERSION_COLUMNS, "versions", rejects, row_range=row_range
+    )
     for row_number, row in rows:
         published = parse_date(row[positions["published"]])
         if published is None:

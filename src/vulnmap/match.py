@@ -141,7 +141,9 @@ def _keyword_pattern(keyword: str) -> re.Pattern:
 def _summary_keyword(lookup: PlatformLookup, platform: str, summary_lower: str) -> str | None:
     """The first of ``platform``'s keywords, in sorted order, that is a word of the summary."""
     keywords = sorted(lookup.summary_keywords.get(platform, ()))
-    return next((kw for kw in keywords if _keyword_pattern(kw).search(summary_lower)), None)
+    # A word of the summary is also a substring of it: the cheap test first.
+    return next((kw for kw in keywords
+                 if kw in summary_lower and _keyword_pattern(kw).search(summary_lower)), None)
 
 
 def _platform_hits(cve: CveRecord, lookup: PlatformLookup) -> set[str]:

@@ -33,6 +33,10 @@ class WorkspaceLocked(RuntimeError):
     """Another command currently holds the workspace lock."""
 
 
+class StoreWriteError(OSError):
+    """An OSError in writing a workspace file, raised again with the file's name."""
+
+
 class CorruptStore(ValueError):
     """A workspace file that does not read back as the rows its writer wrote."""
 
@@ -168,10 +172,29 @@ class Workspace:
     # -- ndjson -----------------------------------------------------------
 
     @contextlib.contextmanager
-    def ndjson_sink(self, path: Path) -> Iterator[Callable[[object], object]]:
-        """Yield a function that writes one document to ``path`` as one line."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield lambda doc: fh.write(_dumps(doc) + "\n")
+    def ndjson_sink(self, path: Path) -> Iterator[Callable[[object], None]]:
+        """Yield a function that writes one document to ``path`` as one line.
+
+        An OSError in opening, writing or closing ``path`` (a full disk, say)
+        is raised as StoreWriteError; one raised by the caller's block, such
+        as a failed read of its input, passes unchanged.
+        """
+        def write(doc) -> None:
+            try:
+                fh.write(_dumps(doc) + "\n")
+            except OSError as exc:
+                raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
+
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
+        with fh:
+            yield write
+            try:
+                fh.close()  # it flushes; on an error it closes all the same
+            except OSError as exc:
+                raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
 
     def write_ndjson(self, path: Path, docs: Iterable) -> int:
         count = 0

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gzip
 import io
 import json
@@ -155,6 +156,140 @@ def test_parallel_ingest_writes_what_one_cpu_writes(tmp_path, capsys, monkeypatc
     assert sources == ["packages"] * 3 + ["versions", "cves"]
 
 
+PACKAGES_HEADER = "ID,Platform,Name,Homepage URL,Repository URL,Keywords,Licenses\r\n"
+
+
+def _package_rows(count: int, broken: bool = False) -> str:
+    """``count`` package rows of every kind: good, ``field_count`` and ``empty_name``
+    rejects, and keywords that hold newlines. With ``broken``, a row follows
+    that opens a quote never closed, so that its field runs past the csv
+    module's field size limit.
+    """
+    rows = []
+    for i in range(1, count + 1):
+        name, keywords = f"n{i}", "web"
+        if i % 5 == 4:  # a quoted field over three lines
+            keywords = '"a,\nb\r\n,c"'
+        if i % 5 == 3:
+            name = ""  # empty_name
+        row = f"P{i},NPM,{name},https://example.org/{i},https://github.com/o/r{i},{keywords},MIT"
+        if i % 5 == 2:
+            row = f"P{i},NPM,n{i}"  # field_count
+        rows.append(row + "\r\n")
+    if broken:
+        rows.append(f'P{count + 1},NPM,"n,x,y,z,MIT\r\n')
+        rows.extend(f"P{i},NPM,n{i},{'x' * 90},,,MIT\r\n" for i in range(1500))
+    return "".join(rows)
+
+
+# Each case: the packages CSV, and the versions CSV. Each is split into three
+# parts of four data rows, the last to the end.
+SPLIT_CASES = {
+    # Quoted newlines in rows 4 and 9, the last row of part 0 and the first
+    # of part 2, and rejects in every part. A byte order mark starts the packages.
+    "quoted-newlines-and-rejects": (
+        "\ufeff" + PACKAGES_HEADER + _package_rows(13),
+        VERSIONS_CSV + "NPM,lodash,P001,5.0.0,someday\n" + VERSIONS_CSV.split("\n", 1)[1],
+    ),
+    # A quote never closed in row 6, in part 1: an error that parts 1 and 2 both meet.
+    "broken-quoting-after-k": (PACKAGES_HEADER + _package_rows(5, broken=True), VERSIONS_CSV),
+    # No data rows at all, and fewer than one part's four.
+    "header-only-and-short": (PACKAGES_HEADER, VERSIONS_CSV),
+}
+
+
+def _force_split(monkeypatch, parts: int, k: int) -> None:
+    """On more than one CPU, split each CSV input into ``parts`` ranges of ``k`` data rows,
+    the last to the end, whatever the inputs' sizes."""
+    units = cli._units
+
+    def split(inputs, cpus):
+        if cpus == 1:
+            return units(inputs, cpus)
+        count = {flag: parts if flag != "cves" else 1 for flag in inputs}
+        return {(flag, i): (path, (k * i, k * (i + 1) if i < count[flag] - 1 else None))
+                for flag, path in inputs.items() for i in range(count[flag])}
+
+    monkeypatch.setattr(cli, "_units", split)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_csv_inputs_write_what_one_cpu_writes(tmp_path, capsys, monkeypatch, case):
+    packages, versions = tmp_path / "packages.csv", tmp_path / "versions.csv"
+    packages.write_text(SPLIT_CASES[case][0], encoding="utf-8", newline="")
+    versions.write_text(SPLIT_CASES[case][1], encoding="utf-8", newline="")
+    args = (str(packages), CVES, "--versions", str(versions))
+    _force_split(monkeypatch, 3, 4)
+    written = {}
+    for cpus in (3, 1):
+        forks = _cpus(monkeypatch, cpus)
+        ws = tmp_path / f"ws_{cpus}"
+        code, out, err = ingest(capsys, ws, *args)
+        assert len(forks) == (7 if cpus > 1 else 0)  # three parts of each CSV, one of the CVEs
+        _no_child_left()
+        written[cpus] = (code, out.replace(str(ws), "WS"), err, workspace_bytes(ws))
+    assert written[3] == written[1]
+    code, out, err, files = written[1]
+    if case == "broken-quoting-after-k":
+        assert (code, out) == (1, "")
+        assert err == ("vulnmap: error: broken CSV structure near data row 6: "
+                       "field larger than field limit (131072)\n")
+        return
+    assert code == 0, err
+    rejects = [json.loads(line) for line in files["rejects.ndjson"].splitlines()]
+    if case == "quoted-newlines-and-rejects":
+        assert [(r["source"], r["row"], r["reason"]) for r in rejects] == [
+            ("packages", 2, "field_count"), ("packages", 3, "empty_name"),
+            ("packages", 7, "field_count"), ("packages", 8, "empty_name"),
+            ("packages", 12, "field_count"), ("packages", 13, "empty_name"),
+            ("versions", 4, "bad_date")]
+        keys = [row[0] for row in map(json.loads, files["packages.ndjson"].splitlines())]
+        assert keys == ["P1", "P4", "P5", "P6", "P9", "P10", "P11"]
+        assert json.loads(out)["versions"] == 6
+    else:
+        assert json.loads(out)["packages"] == 0 and rejects == []
+
+
+def test_split_rule_gives_csv_inputs_their_share_of_the_cpus(tmp_path):
+    row = "P1,NPM,lodash,https://example.org/1,https://github.com/lodash/lodash,,MIT\n"
+    big = tmp_path / "big.csv"  # 10 000 data rows of 74 bytes
+    big.write_text(PACKAGES_HEADER.replace("\r\n", "\n") + row * 10_000, encoding="utf-8")
+    small, gz = tmp_path / "small.csv", tmp_path / "big.csv.gz"
+    small.write_text(VERSIONS_CSV, encoding="utf-8")
+    gz.write_bytes(gzip.compress(big.read_bytes(), mtime=0))
+    cves = tmp_path / "cves.ndjson"
+    cves.write_bytes(b" " * big.stat().st_size)
+
+    def split(inputs, cpus) -> dict[str, list]:
+        """Each input's row ranges, once the units are checked to come in input order."""
+        ranges = {flag: [] for flag in inputs}
+        for (flag, i), (path, rows) in cli._units(inputs, cpus).items():
+            assert path == inputs[flag] and i == len(ranges[flag])
+            assert not any(ranges[later] for later in list(inputs)[list(inputs).index(flag) + 1:])
+            ranges[flag].append(rows)
+        return ranges
+
+    def k(ranges) -> int:
+        """The rows per part of contiguous ranges from row 0 to the end."""
+        k = ranges[0][1]
+        assert ranges == [(i * k, (i + 1) * k) for i in range(len(ranges) - 1)] + [
+            ((len(ranges) - 1) * k, None)]
+        return k
+
+    # All of the bytes: every CPU. The estimate of K is within 1% of 10 000 / 3.
+    packages = split({"packages": big}, 3)["packages"]
+    assert len(packages) == 3 and abs(k(packages) - 10_000 / 3) < 34
+    # Half the bytes: half the CPUs. Too small a share, the CVE dump, and gzip
+    # with all of the bytes: one part.
+    ranges = split({"packages": big, "versions": small, "cves": cves}, 4)
+    assert len(ranges["packages"]) == 2 and abs(k(ranges["packages"]) - 5000) < 50
+    assert ranges["versions"] == ranges["cves"] == [(0, None)]
+    assert split({"packages": small, "cves": cves}, 4)["cves"] == [(0, None)]
+    assert split({"packages": gz}, 4) == {"packages": [(0, None)]}
+    assert split({"packages": big, "versions": big}, 1) == {
+        "packages": [(0, None)], "versions": [(0, None)]}
+
+
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_first_failed_input_in_input_order_is_the_error(tmp_path, capsys, monkeypatch, cpus):
     ws = tmp_path / "ws"
@@ -193,6 +328,30 @@ def test_killed_input_process_exits_1_naming_its_input(tmp_path, capsys, monkeyp
     assert len(forks) == 3
     assert code == 1 and out == ""
     assert err == ("vulnmap: error: the process reading --cves input ended without an "
+                   f"answer (killed by signal {int(signal.SIGKILL)})\n")
+    assert workspace_bytes(ws) == before
+    assert sorted(p.name for p in ws.iterdir()) == sorted(before)
+    _no_child_left()
+
+
+def test_killed_part_process_exits_1_naming_its_input(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    forks = _cpus(monkeypatch, 2)
+    _force_split(monkeypatch, 2, 50)
+    load_packages = vulnmap.ingest.load_packages
+
+    def killed_after_row_50(*args, row_range, **kwargs):
+        if row_range[0]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load_packages(*args, row_range=row_range, **kwargs)
+
+    monkeypatch.setattr(vulnmap.ingest, "load_packages", killed_after_row_50)
+    code, out, err = ingest(capsys, ws, *_with_rejects(tmp_path))
+    assert len(forks) == 5  # two parts of each CSV input, one of the CVEs
+    assert code == 1 and out == ""
+    assert err == ("vulnmap: error: the process reading --packages input ended without an "
                    f"answer (killed by signal {int(signal.SIGKILL)})\n")
     assert workspace_bytes(ws) == before
     assert sorted(p.name for p in ws.iterdir()) == sorted(before)
@@ -321,12 +480,13 @@ def _data_rows(flag: str, data: bytes) -> int:
 def test_fuzzed_inputs_exit_0_or_1_on_both_ingest_paths(tmp_path, capfd, monkeypatch):
     # Truncations and byte mutations of each input format, after Miller,
     # Fredriksen and So (CACM 1990). Each mutant is ingested on the one-CPU
-    # and on the forked path; both must agree.
+    # and on the forked path, with 2 CPUs and with 4, where the packages CSV,
+    # about 43% of the input bytes, is split in two; all must agree.
     seeds = _fuzz_seeds()
     versions = tmp_path / "versions.csv"
     versions.write_bytes(seeds["versions-csv"][1])
     base = {"--packages": PACKAGES, "--cves": CVES, "--versions": str(versions)}
-    workspaces = {cpus: tmp_path / f"ws_{cpus}" for cpus in (1, 2)}
+    workspaces = {cpus: tmp_path / f"ws_{cpus}" for cpus in (1, 2, 4)}
     for ws in workspaces.values():
         assert ingest(capfd, ws, PACKAGES, CVES, "--versions", str(versions))[0] == 0
     rng = random.Random(1990)
@@ -358,7 +518,7 @@ def test_fuzzed_inputs_exit_0_or_1_on_both_ingest_paths(tmp_path, capfd, monkeyp
                 assert sum(json.loads(r)["source"] == key for r in rejects) == \
                     summary["rejects"].get(key, 0), case
             outcomes[cpus] = (code, err, workspace_bytes(ws) if code == 0 else None)
-        assert outcomes[1] == outcomes[2], f"{name} mutant {i}"
+        assert outcomes[1] == outcomes[2] == outcomes[4], f"{name} mutant {i}"
         exits[code] += 1
     assert exits[0] >= 5 and exits[1] >= 5, exits  # both outcomes exercised
 
@@ -819,17 +979,17 @@ def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch)
     header = "ID,Platform,Name,Homepage URL,Repository URL,Keywords,Licenses\n"
     good = "".join(f"P{i},NPM,n{i},https://example.org/{'x' * 250},https://github.com/o/r,,MIT\n"
                    for i in range(4000))
-    # With two CPUs each input is read in a forked child, whose allocations
-    # tracemalloc in this process cannot see: the child measures its own
-    # input's work and leaves the peak in a file. One CPU runs the same
-    # function in this process.
+    # With two CPUs each input, or each part of a split one, is read in a
+    # forked child, whose allocations tracemalloc in this process cannot see:
+    # the child measures its own unit's work and leaves the peak in a file.
+    # One CPU runs the same function in this process.
     stage_input = cli._stage_input
 
-    def measured(flag, *args):
+    def measured(unit, *args):
         tracemalloc.reset_peak()
         baseline = tracemalloc.get_traced_memory()[0]
-        answer = stage_input(flag, *args)
-        (tmp_path / f"peak_{flag}").write_text(
+        answer = stage_input(unit, *args)
+        (tmp_path / f"peak_{bad}_{unit[0]}_{unit[1]}").write_text(
             str(tracemalloc.get_traced_memory()[1] - baseline), encoding="utf-8")
         return answer
 
@@ -852,8 +1012,10 @@ def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch)
         assert code == 0
         assert json.loads(out)["rejects"] == {"total": bad, "packages": bad}
         # Each process's peak, added: an upper bound on what they held at once.
-        peaks[bad] += sum(int((tmp_path / f"peak_{flag}").read_text(encoding="utf-8"))
-                          for flag in ("packages", "cves"))
+        units = sorted(tmp_path.glob(f"peak_{bad}_*"))
+        assert [p.name for p in units] == [f"peak_{bad}_cves_0", f"peak_{bad}_packages_0",
+                                           f"peak_{bad}_packages_1"]  # the packages are split
+        peaks[bad] += sum(int(p.read_text(encoding="utf-8")) for p in units)
         sizes[bad] = (ws / "rejects.ndjson").stat().st_size
     # Holding the rejects until the end costs several times their encoded size.
     assert peaks[8000] - peaks[1000] < (sizes[8000] - sizes[1000]) / 10, (peaks, sizes)
@@ -1212,6 +1374,55 @@ def test_ingest_unreadable_input_names_flag_and_path(tmp_path, capsys, flag):
         assert flag in err
         assert str(bad) in err
         assert not (tmp_path / "ws").exists()
+
+
+class _FailingFile(io.StringIO):
+    """A file whose every read or write fails with ``errno``."""
+
+    def __init__(self, code: int):
+        super().__init__()
+        self.error = OSError(code, os.strerror(code))
+
+    def write(self, text):
+        raise self.error
+
+    def __next__(self):
+        raise self.error
+
+
+@pytest.mark.parametrize("case", ["write", "flush", "read"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_write_errors_name_the_store_file_and_read_errors_the_input(
+        tmp_path, capsys, monkeypatch, case, cpus):
+    ws, versions = tmp_path / "ws", tmp_path / "versions.csv"
+    versions.write_text(VERSIONS_CSV, encoding="utf-8")
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    staged = {"write": ws / ".staging" / "packages.ndjson",  # fails on its first row
+              "flush": ws / ".staging" / "versions.ndjson"}.get(case)  # fails when flushed
+    if case == "flush" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    open_text_auto = vulnmap.ingest.open_text_auto
+
+    def fail(file, *args, **kwargs):
+        if Path(file) != staged:
+            return open(file, *args, **kwargs)
+        # /dev/full takes writes into the buffer, then fails to flush it: a full disk.
+        return _FailingFile(errno.ENOSPC) if case == "write" else open("/dev/full", *args, **kwargs)
+
+    monkeypatch.setattr(store, "open", fail, raising=False)
+    monkeypatch.setattr(vulnmap.ingest, "open_text_auto", lambda path: (
+        _FailingFile(errno.EIO) if case == "read" and str(path) == PACKAGES
+        else open_text_auto(path)))
+    _cpus(monkeypatch, cpus)
+    code, out, err = ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))
+    assert (code, out) == (1, "")
+    if case == "read":
+        assert err == "vulnmap: error: cannot read input: [Errno 5] Input/output error\n"
+    else:
+        assert err == f"vulnmap: error: cannot write store file {staged}: No space left on device\n"
+    assert workspace_bytes(ws) == before
+    assert not (ws / ".staging").exists()
 
 
 def test_custom_lookup_file(tmp_path, capsys):

@@ -5,10 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple
 
 from . import ingest as ing
 from . import report as rep
@@ -149,146 +148,6 @@ def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _stage_input(unit: tuple[str, int], path: Path, row_range: tuple[int, int | None],
-                 stage: store.Workspace, aliases, field_map) -> dict:
-    """Read, normalize and stage one unit of an input; return its row and reject counts.
-
-    Part 0 of an input writes its store file and also answers the input's
-    digest and tallies; a later part writes a part file of its own. So does
-    each unit with its rejects. ``cmd_ingest`` joins the part files.
-    """
-    flag, part = unit
-    rejected = 0
-    tallies: dict = {}
-    with stage.ndjson_sink(_unit_path(stage, "rejects", unit)) as write:
-        def reject(entry: dict) -> None:
-            """Write each reject as it arrives: a dump can hold millions."""
-            nonlocal rejected
-            write(entry)
-            rejected += 1
-        try:
-            with ing.open_text_auto(path) as src:
-                if flag == "cves":
-                    records = ing.load_cves(
-                        src, field_map=field_map, rejects=reject, tallies=tallies
-                    )
-                else:
-                    load = ing.load_packages if flag == "packages" else ing.load_versions
-                    records = load(src, rejects=reject, platform_aliases=aliases,
-                                   row_range=row_range)
-                target = _unit_path(stage, "rows", unit) if part else getattr(stage, f"{flag}_path")
-                rows = stage.write_ndjson(target, records)
-        except ing.INPUT_DECODE_ERRORS as exc:  # before OSError: BadGzipFile is one
-            raise CommandError(f"cannot read --{flag} input: {path}: {exc}") from None
-        except (ing.CsvStructure, ing.JsonStructure) as exc:
-            raise CommandError(str(exc)) from None
-        except store.StoreWriteError as exc:  # before OSError: it is one
-            raise CommandError(f"cannot write store file {exc.filename}: {exc.strerror}") from None
-        except OSError as exc:
-            raise CommandError(f"cannot read input: {exc}") from None
-    if part:
-        return {"rows": rows, "rejects": rejected}
-    return {"rows": rows, "rejects": rejected, "sha256": store.sha256_file(path), **tallies}
-
-
-def _unit_path(stage: store.Workspace, kind: str, unit: tuple[str, int]) -> Path:
-    """The staged part file of ``kind`` ("rows" or "rejects") that one unit writes."""
-    return stage.root / f"{kind}_{unit[0]}_{unit[1]}.ndjson"
-
-
-def _units(inputs: dict[str, Path], cpus: int) -> dict[tuple[str, int], tuple]:
-    """Split the inputs into ``(flag, part)`` units: each one's path and range of data rows.
-
-    A CSV input gets as many parts as its share of all the input bytes is
-    of the CPUs (``ingest.csv_row_ranges``); the CVE dump gets one.
-    """
-    sizes = {flag: path.stat().st_size for flag, path in inputs.items()}
-    total = sum(sizes.values()) or 1
-    units = {}
-    for flag, path in inputs.items():
-        parts = 1 if flag == "cves" else round(cpus * sizes[flag] / total)
-        try:
-            ranges = ing.csv_row_ranges(path, parts) if parts > 1 else [(0, None)]
-        except OSError as exc:
-            raise CommandError(f"cannot read input: {exc}") from None
-        units.update(((flag, part), (path, rows)) for part, rows in enumerate(ranges))
-    return units
-
-
-def _each_input(stage_one: Callable[..., dict], units: dict[tuple, tuple], fork: bool) -> dict:
-    """Call ``stage_one(unit, *args)`` on each unit; return its answers by unit, in order.
-
-    A unit is ``(flag, part)``. With ``fork``, each call runs in a forked
-    child that answers with one JSON line on a pipe; without, the calls run
-    here, one after another. Either way the error of the first unit that
-    fails, in order, is raised. Every child is reaped before this returns or
-    raises; those still running then are killed first.
-    """
-    if not fork:
-        return {unit: stage_one(unit, *args) for unit, args in units.items()}
-    pids: dict[tuple, int] = {}  # the children not yet reaped
-    pipes: dict[tuple, int] = {}  # the read ends not yet read
-    try:
-        for unit, args in units.items():
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _answer_and_exit(write_end, stage_one, unit, *args)
-            os.close(write_end)
-            pids[unit], pipes[unit] = pid, read_end
-        answers = {}
-        for unit in units:
-            with open(pipes.pop(unit), encoding="utf-8") as fh:
-                line = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(unit), 0)[1])
-            if not line:
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise CommandError(f"the process reading --{unit[0]} input ended without an "
-                                   f"answer ({how})")
-            answers[unit] = json.loads(line)
-            if "error" in answers[unit]:
-                raise CommandError(answers[unit]["error"])
-        return answers
-    finally:
-        for fd in pipes.values():
-            os.close(fd)
-        if pids:
-            import signal  # only here: building its enums would slow every command's start
-
-            for pid in pids.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _answer_and_exit(write_end: int, call: Callable[..., dict], *args) -> NoReturn:
-    """In a forked child: write what ``call(*args)`` returns, or its error, as one JSON line; exit.
-
-    The child never returns into the parent's code, so no context manager or
-    exit handler of the parent's runs twice.
-    """
-    code = EXIT_ERROR
-    try:
-        try:
-            answer = call(*args)
-        except (CommandError, OSError) as exc:
-            answer = {"error": str(exc)}
-        with open(write_end, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(answer) + "\n")
-        code = EXIT_OK
-    except Exception:  # a fault, not an input error: its traceback, and no answer
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-def _append(out, path: Path) -> None:
-    """Append the bytes of ``path`` to the open binary file ``out``; then remove ``path``."""
-    with open(path, "rb") as src:
-        shutil.copyfileobj(src, out)
-    path.unlink()
-
-
 def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     for label, path in (
         ("packages", args.packages),
@@ -310,40 +169,11 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     inputs = {flag: path for flag, path in inputs.items() if path is not None}
     # One CPU where os.sched_getaffinity is missing, as on macOS.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    from .units import stage_inputs  # only here: map and report never compile it
     # Every store file is written to .staging and moved in only once all inputs have loaded.
     with workspace.lock():
-        units = _units(inputs, cpus)
         with workspace.staging() as stage:
-            answers = _each_input(
-                lambda unit, path, row_range: _stage_input(
-                    unit, path, row_range, stage, aliases, field_map),
-                units, cpus > 1,
-            )
-            # An input's later parts join its part 0; every unit's rejects join, in order.
-            by_flag: dict[str, dict] = {}
-            with open(stage.rejects_path, "wb") as joined:
-                for (flag, part), answer in answers.items():
-                    _append(joined, _unit_path(stage, "rejects", (flag, part)))
-                    if not part:
-                        by_flag[flag] = answer
-                        continue
-                    with open(getattr(stage, f"{flag}_path"), "ab") as rows:
-                        _append(rows, _unit_path(stage, "rows", (flag, part)))
-                    by_flag[flag]["rows"] += answer["rows"]
-                    by_flag[flag]["rejects"] += answer["rejects"]
-            answers = by_flag
-            if args.versions is None:
-                stage.write_ndjson(stage.versions_path, ())
-            rejects = {flag: a["rejects"] for flag, a in answers.items() if a["rejects"]}
-            summary = {
-                "packages": answers["packages"]["rows"],
-                "versions": answers["versions"]["rows"] if args.versions is not None else 0,
-                "cves": answers["cves"]["rows"],
-                "rejects": {"total": sum(rejects.values()), **rejects},
-                "malformed_cpes": answers["cves"].get("malformed_cpes", 0),
-                "inputs": {flag: {"sha256": a["sha256"]} for flag, a in answers.items()},
-                "store_layout": store.STORE_LAYOUT,
-            }
+            summary = stage_inputs(inputs, stage, cpus, aliases, field_map)
             stage.write_summary(summary)
         # Only once the new store is in: the old mappings and reports describe the old store.
         stale = [workspace.mappings_path(key) for key in STRATEGY_KEYS] + [workspace.manifest_path]

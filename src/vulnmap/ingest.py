@@ -36,8 +36,6 @@ _PLAIN_URL = re.compile(
 # hold more text: with 64 KiB reads a small-entry NDJSON load peaked at
 # 0.33 MB traced, against 0.05 MB with these.
 _READ_CHARS = 8192
-# Bytes read from the head of a CSV input to estimate its data rows.
-_HEAD_BYTES = 1 << 16
 
 # Libraries.io CSV schemas (logical field -> header name).
 DEFAULT_PACKAGE_COLUMNS = {
@@ -199,23 +197,6 @@ def _repo_link(provider: str, owner: str, repository: str) -> str | None:
     if not owner or not repository:
         return None
     return f"{provider}/{owner}/{repository}"
-
-
-def csv_row_ranges(path: str | Path, parts: int) -> list[tuple[int, int | None]]:
-    """Cut a CSV file's data rows into ``parts`` ranges for the ``row_range`` of a loader.
-
-    Part i is rows [i*K, (i+1)*K), the last to the end, with K the data rows
-    over ``parts`` estimated from the first ``_HEAD_BYTES`` of the file. A
-    gzip file, which every part would decompress from its start, is one
-    range; so is a file whose head ends no line, which gives no estimate.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEAD_BYTES)
-    lines = head.count(b"\n")  # the header and data rows, if no field holds a newline
-    if head.startswith(_GZIP_MAGIC) or not lines:
-        return [(0, None)]
-    k = (Path(path).stat().st_size * lines // len(head) - 1) // parts
-    return [(i * k, (i + 1) * k if i < parts - 1 else None) for i in range(parts)]
 
 
 def _split_keywords(text: str) -> tuple[str, ...]:

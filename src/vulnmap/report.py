@@ -289,4 +289,6 @@ def export_report(report: Report, format: str, sink: str | Path | IO[str]) -> No
         else:
             writer(report, sink)
     except OSError as exc:
+        if isinstance(sink, (str, Path)):  # name the file, as a store write does
+            raise SinkWrite(f"cannot write report file {sink}: {exc.strerror or exc}") from exc
         raise SinkWrite(f"cannot write report: {exc}") from exc

@@ -36,6 +36,27 @@ class WorkspaceLocked(RuntimeError):
 class StoreWriteError(OSError):
     """An OSError in writing a workspace file, raised again with the file's name."""
 
+    def __str__(self) -> str:
+        return f"cannot write store file {self.filename}: {self.strerror}"
+
+
+@contextlib.contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Raise an OSError of the block as a StoreWriteError that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
+
+
+def _append(path: Path, parts: Iterable[Path]) -> None:
+    """Append the bytes of each file of ``parts`` to ``path``, in order, removing each."""
+    with _writing(path), open(path, "ab") as out:
+        for part in parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, out)
+            part.unlink()
+
 
 class CorruptStore(ValueError):
     """A workspace file that does not read back as the rows its writer wrote."""
@@ -185,16 +206,12 @@ class Workspace:
             except OSError as exc:
                 raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
 
-        try:
+        with _writing(path):
             fh = open(path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
         with fh:
             yield write
-            try:
+            with _writing(path):
                 fh.close()  # it flushes; on an error it closes all the same
-            except OSError as exc:
-                raise StoreWriteError(exc.errno, exc.strerror, str(path)) from None
 
     def write_ndjson(self, path: Path, docs: Iterable) -> int:
         count = 0
@@ -316,7 +333,7 @@ class Workspace:
                 )
 
     def _write_json(self, path: Path, doc: dict) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
             json.dump(doc, fh, indent=2, ensure_ascii=False, sort_keys=True)
             fh.write("\n")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import vulnmap
-from vulnmap import cli, store
+from vulnmap import cli, store, units
 from vulnmap.cli import ALL_REPORTS, main
 from vulnmap.store import Workspace
 
@@ -198,19 +198,19 @@ SPLIT_CASES = {
 }
 
 
-def _force_split(monkeypatch, parts: int, k: int) -> None:
-    """On more than one CPU, split each CSV input into ``parts`` ranges of ``k`` data rows,
-    the last to the end, whatever the inputs' sizes."""
-    units = cli._units
+def _force_split(monkeypatch, parts: int, k: int, min_cpus: int = 2) -> None:
+    """On ``min_cpus`` or more CPUs, split each CSV input into ``parts`` ranges of ``k`` data
+    rows, the last to the end, whatever the inputs' sizes."""
+    real = units._units
 
     def split(inputs, cpus):
-        if cpus == 1:
-            return units(inputs, cpus)
+        if cpus < min_cpus:
+            return real(inputs, cpus)
         count = {flag: parts if flag != "cves" else 1 for flag in inputs}
         return {(flag, i): (path, (k * i, k * (i + 1) if i < count[flag] - 1 else None))
                 for flag, path in inputs.items() for i in range(count[flag])}
 
-    monkeypatch.setattr(cli, "_units", split)
+    monkeypatch.setattr(units, "_units", split)
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
@@ -263,7 +263,7 @@ def test_split_rule_gives_csv_inputs_their_share_of_the_cpus(tmp_path):
     def split(inputs, cpus) -> dict[str, list]:
         """Each input's row ranges, once the units are checked to come in input order."""
         ranges = {flag: [] for flag in inputs}
-        for (flag, i), (path, rows) in cli._units(inputs, cpus).items():
+        for (flag, i), (path, rows) in units._units(inputs, cpus).items():
             assert path == inputs[flag] and i == len(ranges[flag])
             assert not any(ranges[later] for later in list(inputs)[list(inputs).index(flag) + 1:])
             ranges[flag].append(rows)
@@ -983,7 +983,7 @@ def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch)
     # forked child, whose allocations tracemalloc in this process cannot see:
     # the child measures its own unit's work and leaves the peak in a file.
     # One CPU runs the same function in this process.
-    stage_input = cli._stage_input
+    stage_input = units._stage_input
 
     def measured(unit, *args):
         tracemalloc.reset_peak()
@@ -993,7 +993,7 @@ def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch)
             str(tracemalloc.get_traced_memory()[1] - baseline), encoding="utf-8")
         return answer
 
-    monkeypatch.setattr(cli, "_stage_input", measured)
+    monkeypatch.setattr(units, "_stage_input", measured)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     peaks, sizes = {}, {}
     for bad in (1000, 8000):
@@ -1012,10 +1012,10 @@ def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch)
         assert code == 0
         assert json.loads(out)["rejects"] == {"total": bad, "packages": bad}
         # Each process's peak, added: an upper bound on what they held at once.
-        units = sorted(tmp_path.glob(f"peak_{bad}_*"))
-        assert [p.name for p in units] == [f"peak_{bad}_cves_0", f"peak_{bad}_packages_0",
-                                           f"peak_{bad}_packages_1"]  # the packages are split
-        peaks[bad] += sum(int(p.read_text(encoding="utf-8")) for p in units)
+        unit_peaks = sorted(tmp_path.glob(f"peak_{bad}_*"))
+        assert [p.name for p in unit_peaks] == [f"peak_{bad}_cves_0", f"peak_{bad}_packages_0",
+                                                f"peak_{bad}_packages_1"]  # the packages are split
+        peaks[bad] += sum(int(p.read_text(encoding="utf-8")) for p in unit_peaks)
         sizes[bad] = (ws / "rejects.ndjson").stat().st_size
     # Holding the rejects until the end costs several times their encoded size.
     assert peaks[8000] - peaks[1000] < (sizes[8000] - sizes[1000]) / 10, (peaks, sizes)
@@ -1390,37 +1390,65 @@ class _FailingFile(io.StringIO):
         raise self.error
 
 
-@pytest.mark.parametrize("case", ["write", "flush", "read"])
+# More staged writes on a full disk: each case's command and the staged file it fails on.
+FULL_DISK = {
+    "rejects": ("ingest", "rejects.ndjson"),  # the join of every unit's rejects
+    "append": ("ingest", "packages.ndjson"),  # a later part's rows, appended to part 0's file
+    "summary": ("ingest", "summary.json"),
+    "mappings": ("map", "mappings.json"),
+    "report": ("report", "report_platform_share.csv"),
+}
+
+
+@pytest.mark.parametrize("case", ["write", "flush", "read", *FULL_DISK])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_write_errors_name_the_store_file_and_read_errors_the_input(
         tmp_path, capsys, monkeypatch, case, cpus):
     ws, versions = tmp_path / "ws", tmp_path / "versions.csv"
     versions.write_text(VERSIONS_CSV, encoding="utf-8")
-    assert ingest(capsys, ws)[0] == 0
+    args = (PACKAGES, CVES, "--versions", str(versions))
+    command, name = FULL_DISK.get(case, ("ingest", None))
+    if name:  # every file in place, and rejects to join
+        args = _with_rejects(tmp_path)
+        assert ingest(capsys, ws, *args)[0] == 0
+        assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+        assert run(capsys, "report", "--workspace", str(ws))[0] == 0
+        staged = ws / ".staging" / name
+    else:
+        assert ingest(capsys, ws)[0] == 0
+        staged = {"write": ws / ".staging" / "packages.ndjson",  # fails on its first row
+                  "flush": ws / ".staging" / "versions.ndjson"}.get(case)  # fails when flushed
     before = workspace_bytes(ws)
-    staged = {"write": ws / ".staging" / "packages.ndjson",  # fails on its first row
-              "flush": ws / ".staging" / "versions.ndjson"}.get(case)  # fails when flushed
-    if case == "flush" and not os.path.exists("/dev/full"):
+    if case not in ("write", "read") and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
+    if case == "append":  # on one CPU too: the unit loop there joins the parts all the same
+        _force_split(monkeypatch, 2, 40, min_cpus=1)
     open_text_auto = vulnmap.ingest.open_text_auto
 
-    def fail(file, *args, **kwargs):
-        if Path(file) != staged:
-            return open(file, *args, **kwargs)
+    def fail(file, mode="r", *args, **kwargs):
+        if Path(file) != staged or (case == "append" and "a" not in mode):
+            return open(file, mode, *args, **kwargs)
         # /dev/full takes writes into the buffer, then fails to flush it: a full disk.
-        return _FailingFile(errno.ENOSPC) if case == "write" else open("/dev/full", *args, **kwargs)
+        return (_FailingFile(errno.ENOSPC) if case == "write"
+                else open("/dev/full", mode, *args, **kwargs))
 
     monkeypatch.setattr(store, "open", fail, raising=False)
+    monkeypatch.setattr(vulnmap.report, "open", fail, raising=False)
     monkeypatch.setattr(vulnmap.ingest, "open_text_auto", lambda path: (
         _FailingFile(errno.EIO) if case == "read" and str(path) == PACKAGES
         else open_text_auto(path)))
     _cpus(monkeypatch, cpus)
-    code, out, err = ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))
+    if command == "ingest":
+        code, out, err = ingest(capsys, ws, *args)
+    else:
+        code, out, err = run(capsys, command, "--workspace", str(ws))
     assert (code, out) == (1, "")
     if case == "read":
         assert err == "vulnmap: error: cannot read input: [Errno 5] Input/output error\n"
     else:
-        assert err == f"vulnmap: error: cannot write store file {staged}: No space left on device\n"
+        what = "report" if command == "report" else "store"
+        reason = "No space left on device"
+        assert err == f"vulnmap: error: cannot write {what} file {staged}: {reason}\n"
     assert workspace_bytes(ws) == before
     assert not (ws / ".staging").exists()
 
@@ -1569,6 +1597,8 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert added.isdisjoint({"multiprocessing", "concurrent.futures", "pickle"})
     # OpenSSL and libmpdec are loaded only where used: ingest's digests, report's shares.
     assert added.isdisjoint({"hashlib", "_hashlib", "decimal", "_decimal"})
+    # Ingest's units, forks and joins load only where ingest runs.
+    assert added.isdisjoint({"vulnmap.units", "signal"})
     # The README promises immutable records.
     evidence = vulnmap.Evidence(vulnmap.match.REPO_LINK, ("github.com/a/b",))
     result = vulnmap.MappingResult(

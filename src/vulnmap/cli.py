@@ -33,7 +33,7 @@ class ReportSpec(NamedTuple):
 # so wrappers installed on ``store.Workspace`` or ``vulnmap.report`` apply.
 SNAPSHOTS: dict[str, Callable] = {
     "packages": lambda ws: rep.package_counts(ws.load_packages()),  # one pass, no list
-    "versions": lambda ws: ws.load_versions(),  # a one-pass stream: one report reads it
+    "versions": lambda ws: ws.load_versions(),  # its counts per (platform, year)
     "cves": lambda ws: {c.cve_id: c.year for c in ws.load_cves()},  # no report reads more
     "mappings": lambda ws: {
         key: ws.load_mappings(key) for key in STRATEGY_KEYS if ws.mappings_path(key).exists()

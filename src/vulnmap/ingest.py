@@ -7,7 +7,7 @@ import gzip
 import json
 import re
 import zlib
-from collections import deque
+from collections import Counter, deque
 from datetime import date
 from itertools import islice
 from pathlib import Path
@@ -87,6 +87,14 @@ class VersionRecord(NamedTuple):
     platform: str
     version_label: str
     published: date
+
+
+class VersionCount(NamedTuple):
+    """The versions of one platform published in one year: a row of ``versions.ndjson``."""
+
+    platform: str
+    year: int
+    count: int
 
 
 class CveCpe(NamedTuple):
@@ -222,14 +230,17 @@ def _read_csv(
     stream, and a ``reject(row_number, reason, data)`` function that files
     rejects under ``label``. Rows whose width differs from the header's are
     rejected as ``field_count`` and not yielded. Raises CsvStructure for an
-    empty input, a missing header that is not ``optional``, or broken quoting.
+    empty input, a missing header that is not ``optional``, or broken quoting:
+    quoting is strict, so a quoted field left open at the end of the input,
+    or a closing quote followed by anything but the delimiter or the end of
+    the line, stops the read rather than swallowing the rows after it.
 
     ``row_range`` is ``(first, stop)``: the data rows after the first
     ``first``, up to row number ``stop`` (None: to the end). The rows before
     it are parsed and dropped, so a row's number is its number in the whole
     input, wherever quoted newlines fall.
     """
-    reader = csv.reader(source)
+    reader = csv.reader(source, strict=True)
     try:
         header = next(reader)
     except StopIteration:
@@ -330,6 +341,12 @@ def load_versions(
             row[positions["id"]].strip(), aliases.get(platform_raw.lower(), platform_raw),
             row[positions["version"]].strip(), published,
         )
+
+
+def count_versions(versions: Iterable[VersionRecord]) -> list[VersionCount]:
+    """Count the versions per (platform, year published); the cells sorted by both."""
+    counter = Counter((v.platform, v.published.year) for v in versions)
+    return [VersionCount(platform, year, n) for (platform, year), n in sorted(counter.items())]
 
 
 def _iter_json_values(source: Iterable[str]) -> Iterator:

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
-from .ingest import PackageRecord, VersionRecord
+from .ingest import PackageRecord, VersionCount
 from .match import MappingResult
 
 if TYPE_CHECKING:
@@ -167,13 +167,16 @@ def license_distribution(counts: PackageCounts, top_k: int = DEFAULT_TOP_K_SHARE
     )
 
 
-def versions_per_year(versions: Iterable[VersionRecord]) -> Report:
+def versions_per_year(cells: Iterable[VersionCount]) -> Report:
     """Published version counts grouped by (platform, year).
 
-    Accepts any iterable, so a 30M-row versions dump can be aggregated
-    straight off the streaming loader.
+    ``cells`` are ``(platform, year, count)`` triples, as ``Workspace.load_versions``
+    yields and ``ingest.count_versions`` returns; the counts of a repeated
+    cell add up.
     """
-    counter = Counter((v.platform, str(v.published.year)) for v in versions)
+    counter = Counter()
+    for platform, year, count in cells:
+        counter[platform, str(year)] += count
     return Report(
         title="Published versions per package manager and year",
         group_columns=["platform", "year"],

@@ -18,14 +18,14 @@ from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .ingest import _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionRecord
+from .ingest import _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionCount
 from .match import KEY_STRATEGIES, Evidence, MappingResult
 
 LOCK_NAME = ".lock"
 STAGING_NAME = ".staging"
 # Recorded in summary.json; bump it when a store record's fields change.
-STORE_LAYOUT = 3
-# The counts in summary.json: each store file's rows, and ingest's tally.
+STORE_LAYOUT = 4
+# The counts in summary.json: the packages, versions and CVEs ingested, and ingest's tally.
 _SUMMARY_COUNTS = ("packages", "versions", "cves", "malformed_cpes")
 
 
@@ -231,7 +231,8 @@ class Workspace:
         another row count than summary.json records for a store file, or
         mappings.json for a mapping file (a file with no count there, or
         beside no summary.json or mappings.json at all, included), raises
-        CorruptStore.
+        CorruptStore. summary.json counts versions, not the rows of
+        ``versions.ndjson``: ``load_versions`` checks their sum itself.
         """
         key = path.stem.removeprefix("mappings_")
         mapping = key in KEY_STRATEGIES
@@ -241,7 +242,7 @@ class Workspace:
                 path, FileNotFoundError(f"{counts.name} is missing"), "map" if mapping else "ingest"
             )
         expected = (self.read_manifest() if mapping else self.read_summary()).get(key)
-        counted = counts.exists() and (mapping or key in _SUMMARY_COUNTS)
+        counted = counts.exists() and (mapping or key in ("packages", "cves"))
 
         def blocks() -> Iterator:
             read = 0
@@ -281,14 +282,25 @@ class Workspace:
                     shared(license, license), repo_link,
                 )
 
-    def load_versions(self) -> Iterator[VersionRecord]:
-        """Yield the versions one at a time: a versions dump can hold tens of millions."""
+    def load_versions(self) -> Iterator[VersionCount]:
+        """Yield the count of versions per (platform, year), in order of both.
+
+        The counts must sum to the ``versions`` that summary.json records.
+        """
+        expected = self.read_summary().get("versions")
+        total = 0
         with self._rows(self.versions_path) as rows:
-            for key, platform, label, published in rows:
-                # Chained as in load_packages; fromisoformat checks the date.
-                if not type(key) is type(platform) is type(label) is str:
-                    raise TypeError(f"version {key!r} has a field that is not a string")
-                yield VersionRecord(key, platform, label, date.fromisoformat(published))
+            for platform, year, count in rows:
+                if type(platform) is not str:
+                    raise TypeError(f"a version count has platform {platform!r}, not a string")
+                if type(year) is not int:  # bool is not int
+                    raise TypeError(f"{platform} has a version count for {year!r}, not a year")
+                if type(count) is not int or count < 1:
+                    raise ValueError(f"{platform} {year} has {count!r} versions, not a count")
+                total += count
+                yield VersionCount(platform, year, count)
+            if self.summary_path.exists() and total != expected:
+                raise ValueError(f"{total} versions counted, summary.json has {expected}")
 
     def load_cves(self) -> Iterator[CveRecord]:
         """Yield the CVEs one at a time; the only decoder of a ``cves.ndjson`` row."""

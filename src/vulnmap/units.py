@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, NoReturn
 
@@ -30,17 +31,25 @@ def stage_inputs(inputs: dict[str, Path], stage: store.Workspace, cpus: int,
     # An input's later parts join its part 0; every unit's rejects join, in order.
     store._append(stage.rejects_path, [_unit_path(stage, "rejects", unit) for unit in answers])
     by_flag = {flag: answer for (flag, part), answer in answers.items() if not part}
+    versions = Counter()
     for (flag, part), answer in answers.items():
+        for platform, year, count in answer.get("cells", ()):
+            versions[platform, year] += count
         if part:
-            store._append(getattr(stage, f"{flag}_path"), [_unit_path(stage, "rows", (flag, part))])
             by_flag[flag]["rows"] += answer["rows"]
             by_flag[flag]["rejects"] += answer["rejects"]
-    if "versions" not in by_flag:
-        stage.write_ndjson(stage.versions_path, ())
+        if part and flag != "versions":
+            rows = _unit_path(stage, "rows", (flag, part))
+            store._append(getattr(stage, f"{flag}_path"), [rows])
+    # One row per (platform, year), in order: the bytes do not depend on the parts.
+    stage.write_ndjson(stage.versions_path, (
+        ing.VersionCount(platform, year, count)
+        for (platform, year), count in sorted(versions.items())
+    ))
     rejects = {flag: a["rejects"] for flag, a in by_flag.items() if a["rejects"]}
     return {
         "packages": by_flag["packages"]["rows"],
-        "versions": by_flag["versions"]["rows"] if "versions" in by_flag else 0,
+        "versions": sum(versions.values()),
         "cves": by_flag["cves"]["rows"],
         "rejects": {"total": sum(rejects.values()), **rejects},
         "malformed_cpes": by_flag["cves"].get("malformed_cpes", 0),
@@ -53,9 +62,11 @@ def _stage_input(unit: tuple[str, int], path: Path, row_range: tuple[int, int | 
                  stage: store.Workspace, aliases, field_map) -> dict:
     """Read, normalize and stage one unit of an input; return its row and reject counts.
 
-    Part 0 of an input writes its store file and also answers the input's
-    digest and tallies; a later part writes a part file of its own. So does
-    each unit with its rejects. ``stage_inputs`` joins the part files.
+    Part 0 of the packages or the CVEs writes the input's store file; a later
+    part writes a part file of its own. A versions unit writes no rows: it
+    answers its count per (platform, year) as ``cells``. Each unit writes a
+    part file of its rejects, and part 0 also answers the input's digest and
+    tallies. ``stage_inputs`` joins the part files and sums the cells.
     """
     flag, part = unit
     rejected = 0
@@ -76,8 +87,13 @@ def _stage_input(unit: tuple[str, int], path: Path, row_range: tuple[int, int | 
                     load = ing.load_packages if flag == "packages" else ing.load_versions
                     records = load(src, rejects=reject, platform_aliases=aliases,
                                    row_range=row_range)
-                target = _unit_path(stage, "rows", unit) if part else getattr(stage, f"{flag}_path")
-                rows = stage.write_ndjson(target, records)
+                if flag == "versions":
+                    cells = ing.count_versions(records)
+                    answer = {"rows": sum(cell.count for cell in cells), "cells": cells}
+                else:
+                    target = (_unit_path(stage, "rows", unit) if part
+                              else getattr(stage, f"{flag}_path"))
+                    answer = {"rows": stage.write_ndjson(target, records)}
         except ing.INPUT_DECODE_ERRORS as exc:  # before OSError: BadGzipFile is one
             raise CommandError(f"cannot read --{flag} input: {path}: {exc}") from None
         except (ing.CsvStructure, ing.JsonStructure) as exc:
@@ -86,7 +102,7 @@ def _stage_input(unit: tuple[str, int], path: Path, row_range: tuple[int, int | 
             raise
         except OSError as exc:
             raise CommandError(f"cannot read input: {exc}") from None
-    answer = {"rows": rows, "rejects": rejected}
+    answer["rejects"] = rejected
     return answer if part else {**answer, "sha256": store.sha256_file(path), **tallies}
 
 

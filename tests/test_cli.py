@@ -20,7 +20,7 @@ import pytest
 
 import vulnmap
 from vulnmap import cli, store, units
-from vulnmap.cli import ALL_REPORTS, main
+from vulnmap.cli import ALL_REPORTS, REPORT_FORMATS, main
 from vulnmap.store import Workspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -250,6 +250,66 @@ def test_split_csv_inputs_write_what_one_cpu_writes(tmp_path, capsys, monkeypatc
         assert json.loads(out)["packages"] == 0 and rejects == []
 
 
+def test_versions_table_counts_what_load_versions_yields(tmp_path, capsys, monkeypatch):
+    """versions.ndjson is the oracle's count per (platform, year), on one CPU and in parts."""
+    rng = random.Random(2020)
+    rows = [VERSIONS_CSV]
+    for i in range(300):
+        platform = rng.choice(("NPM", "Pypi", "Rubygems", "rubygems", " Maven "))
+        published = rng.choice((f"{rng.randrange(2005, 2021)}-0{rng.randrange(1, 10)}-15 UTC",
+                                "someday", ""))  # a bad_date reject in about one row in three
+        number = f'"1.{i}\n-beta"' if i % 50 == 0 else f"1.{i}"  # a quoted newline now and then
+        rows.append(f"{platform},p{i % 40},P{i % 40},{number},{published}\n")
+    versions = tmp_path / "versions.csv"
+    versions.write_text("".join(rows), encoding="utf-8")
+    with vulnmap.ingest.open_text_auto(versions) as fh:
+        bad = []
+        oracle = Counter((v.platform, v.published.year) for v in vulnmap.ingest.load_versions(
+            fh, rejects=bad.append, platform_aliases={"Rubygems": "Ruby"}))
+    assert bad and {r["reason"] for r in bad} == {"bad_date"}
+    _force_split(monkeypatch, 3, 100)
+    reports = []
+    for cpus in (1, 3):
+        forks = _cpus(monkeypatch, cpus)
+        ws = tmp_path / f"ws_{cpus}"
+        code, out, err = ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))
+        assert code == 0, err
+        assert len(forks) == (7 if cpus > 1 else 0)
+        cells = [json.loads(line) for line in (ws / "versions.ndjson").read_text().splitlines()]
+        assert cells == sorted(cells)  # one row per cell, in order
+        assert {(platform, year): count for platform, year, count in cells} == oracle
+        summary = json.loads(out)
+        assert summary["versions"] == sum(oracle.values())
+        assert summary["rejects"]["versions"] == len(bad)
+        rejects = [json.loads(line) for line in (ws / "rejects.ndjson").read_text().splitlines()]
+        assert [r for r in rejects if r["source"] == "versions"] == bad
+        for fmt in REPORT_FORMATS:
+            code, _, err = run(capsys, "report", "--workspace", str(ws),
+                               "--report", "versions-per-year", "--format", fmt)
+            assert code == 0, err
+        reports.append({p.name: p.read_bytes() for p in sorted(ws.glob("report_*"))})
+    assert len(reports[0]) == 2 and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("tail", [0, 3000], ids=["small", "over-128-kib"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stray_quote_stops_ingest_naming_its_row(tmp_path, capsys, monkeypatch, tail, cpus):
+    """An opening quote never closed no longer swallows the rows after it into one reject."""
+    ws, versions = tmp_path / "ws", tmp_path / "versions.csv"
+    header, first, _, third = VERSIONS_CSV.splitlines(keepends=True)
+    versions.write_text(  # data row 2 opens a quote; more than 128 KiB follows it, or not
+        header + first + 'NPM,"lodash,P001,3.0.0,2015-01-10 00:00:00 UTC\n' + third + first
+        + f"NPM,lodash,P001,{'9' * 40},2019-02-03 10:00:00 UTC\n" * tail, encoding="utf-8")
+    assert ingest(capsys, ws)[0] == 0
+    before = workspace_bytes(ws)
+    _cpus(monkeypatch, cpus)
+    code, out, err = ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))
+    assert (code, out) == (1, "")
+    reason = "field larger than field limit (131072)" if tail else "unexpected end of data"
+    assert err == f"vulnmap: error: broken CSV structure near data row 2: {reason}\n"
+    assert workspace_bytes(ws) == before
+
+
 def test_split_rule_gives_csv_inputs_their_share_of_the_cpus(tmp_path):
     row = "P1,NPM,lodash,https://example.org/1,https://github.com/lodash/lodash,,MIT\n"
     big = tmp_path / "big.csv"  # 10 000 data rows of 74 bytes
@@ -387,10 +447,10 @@ def test_killed_ingest_leaves_the_lock_to_its_input_processes(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert ingest(capsys, ws)[0] == 0
     before = workspace_bytes(ws)
-    versions = tmp_path / "versions.csv"  # about a second of reading for its process
+    versions = tmp_path / "versions.csv"  # about a second of counting for its processes
     with open(versions, "w", encoding="utf-8") as fh:
         fh.write(VERSIONS_CSV)
-        fh.writelines(f"NPM,lodash,P001,1.0.{i},2019-02-03 10:00:00 UTC\n" for i in range(200_000))
+        fh.writelines(f"NPM,lodash,P001,1.0.{i},2019-02-03 10:00:00 UTC\n" for i in range(600_000))
     # Two CPUs whatever this machine has, so that ingest forks.
     script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
               "from vulnmap.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -401,8 +461,9 @@ def test_killed_ingest_leaves_the_lock_to_its_input_processes(tmp_path, capsys):
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
-        staged, deadline = ws / ".staging" / "versions.ndjson", time.monotonic() + 60
-        while not (staged.exists() and staged.stat().st_size):  # its process has begun
+        # The versions unit opens its rejects part file first: its process has begun.
+        staged, deadline = ws / ".staging" / "rejects_versions_0.ndjson", time.monotonic() + 60
+        while not staged.exists():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         proc.kill()
@@ -767,8 +828,15 @@ CORRUPT_STORES = {
     "package-keywords-string": (
         "packages.ndjson", _set_first_row_field(3, "web"), ("map", "report")
     ),
-    "versions-platform-null": ("versions.ndjson", _set_first_row_field(1, None), ("report",)),
-    "versions-platform-list": ("versions.ndjson", _set_first_row_field(1, ["NPM"]), ("report",)),
+    # A versions.ndjson row is [platform, year, count]; the counts sum to summary.json's.
+    "versions-platform-null": ("versions.ndjson", _set_first_row_field(0, None), ("report",)),
+    "versions-platform-list": ("versions.ndjson", _set_first_row_field(0, ["NPM"]), ("report",)),
+    "versions-year-string": ("versions.ndjson", _set_first_row_field(1, "2015"), ("report",)),
+    "versions-year-float": ("versions.ndjson", _set_first_row_field(1, 2015.0), ("report",)),
+    "versions-count-bool": ("versions.ndjson", _set_first_row_field(2, True), ("report",)),
+    "versions-count-zero": ("versions.ndjson", _set_first_row_field(2, 0), ("report",)),
+    "versions-count-negative": ("versions.ndjson", _set_first_row_field(2, -1), ("report",)),
+    "versions-counts-over-summary": ("versions.ndjson", _set_first_row_field(2, 2), ("report",)),
     "mapping-cve-list": ("mappings_strict.ndjson", _set_first_row_field("cve", ["x"]), ("report",)),
     "mapping-package-list": (
         "mappings_fuzzy.ndjson", _set_first_row_field("package", ["x"]), ("report",)
@@ -822,7 +890,8 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
             assert "TypeError: Expected 2 arguments, got 1" in err
         if case.endswith("-cut-at-line"):
             counts = "mappings.json" if name.startswith("mappings_") else "summary.json"
-            assert f"rows read, {counts} has" in err
+            read = "versions counted" if name == "versions.ndjson" else "rows read"
+            assert f"{read}, {counts} has" in err
     if case == "cpe-pair-three-fields":
         assert "TypeError: Expected 2 arguments, got 3" in err
     if case == "cpe-pair-string":
@@ -843,10 +912,16 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
         assert "TypeError: sequence item 0: expected str instance, int found" in err
     if case in ("cve-references-string", "package-keywords-string", "cpe-pairs-object"):
         assert "that are not a list" in err
-    if case.startswith("versions-platform-") or case in (
-        "mapping-cve-list", "mapping-package-list", "mapping-platform-null"
-    ):
+    if case in ("mapping-cve-list", "mapping-package-list", "mapping-platform-null"):
         assert "has a field that is not a string" in err
+    if case.startswith("versions-platform-"):
+        assert "TypeError: a version count has platform" in err and "not a string" in err
+    if case.startswith("versions-year-"):
+        assert "not a year" in err
+    if case.startswith("versions-count-"):
+        assert "versions, not a count" in err
+    if case == "versions-counts-over-summary":
+        assert "ValueError: 4 versions counted, summary.json has 3" in err
     if case == "cpe-product-int":
         assert "TypeError: sequence item 0: expected str instance, int found" in err
     if case == "cpe-product-list":
@@ -1417,7 +1492,7 @@ def test_write_errors_name_the_store_file_and_read_errors_the_input(
     else:
         assert ingest(capsys, ws)[0] == 0
         staged = {"write": ws / ".staging" / "packages.ndjson",  # fails on its first row
-                  "flush": ws / ".staging" / "versions.ndjson"}.get(case)  # fails when flushed
+                  "flush": ws / ".staging" / "versions.ndjson"}.get(case)  # the count table, flushed
     before = workspace_bytes(ws)
     if case not in ("write", "read") and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")

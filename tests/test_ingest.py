@@ -102,17 +102,22 @@ def test_empty_file_raises_csv_structure():
             list(loader(io.StringIO("")))
 
 
-def test_unbalanced_quote_becomes_reject_not_crash():
+def test_unbalanced_quote_raises_csv_structure():
     text = (
         "ID,Platform,Name,Repository URL,Keywords,Licenses\n"
         'P1,NPM,"unclosed,https://github.com/a/b,web,MIT\n'
         "P2,NPM,fine,https://github.com/c/d,web,MIT\n"
     )
     rejects = []
-    records = list(load_packages(io.StringIO(text), rejects=rejects.append))
-    # The open quote swallows the remainder into one short row.
-    assert records == []
-    assert [r["reason"] for r in rejects] == ["field_count"]
+    # The open quote would swallow the remainder into one short row; strict
+    # quoting stops at the end of the input instead.
+    with pytest.raises(CsvStructure, match="near data row 1: unexpected end of data"):
+        list(load_packages(io.StringIO(text), rejects=rejects.append))
+    assert rejects == []
+    # Text between a closing quote and the delimiter is refused as well.
+    text = "ID,Platform,Name,Repository URL\nP1,NPM,\"lodash\"x,\nP2,NPM,fine,\n"
+    with pytest.raises(CsvStructure, match="near data row 1: ',' expected after '\"'"):
+        list(load_packages(io.StringIO(text)))
 
 
 def test_gzip_detection(tmp_path):

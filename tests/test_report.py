@@ -12,7 +12,7 @@ import pytest
 
 from helpers import random_corpus
 from test_match import mk_cve, mk_pkg
-from vulnmap.ingest import VersionRecord, load_cves, load_packages
+from vulnmap.ingest import VersionRecord, count_versions, load_cves, load_packages
 from vulnmap.match import default_lookup_config, run_all
 from vulnmap.report import (
     Report,
@@ -219,13 +219,17 @@ def test_versions_per_year_cells():
         VersionRecord("2", "Pypi", "0.2", date(2019, 4, 1)),
         VersionRecord("3", "NPM", "9.9", date(2019, 5, 1)),
     ]
-    report = versions_per_year(versions)
-    cells = {r.keys: r.count for r in report.rows}
-    assert cells == {
+    cells = count_versions(versions)
+    assert cells == [("NPM", 2015, 2), ("NPM", 2019, 2), ("Pypi", 2019, 2)]
+    report = versions_per_year(cells)
+    assert {r.keys: r.count for r in report.rows} == {
         ("NPM", "2015"): 2,
         ("NPM", "2019"): 2,
         ("Pypi", "2019"): 2,
     }
+    assert report.metadata["total_versions"] == 6
+    # Cells counted apart, as the parts of a split versions CSV are, add up.
+    assert versions_per_year(count_versions(versions[:3]) + count_versions(versions[3:])) == report
 
 
 def test_versions_per_year_empty():

@@ -16,8 +16,10 @@ import pytest
 
 import vulnmap
 from test_match import mk_cve, mk_pkg
+from vulnmap import units
 from vulnmap.ingest import (
-    _READ_CHARS, CveCpe, CveRecord, PackageRecord, VersionRecord, load_cves, load_packages,
+    _READ_CHARS, CveCpe, CveRecord, PackageRecord, VersionCount, count_versions, load_cves,
+    load_packages, load_versions,
 )
 from vulnmap.match import Evidence, MappingResult, Strategy, default_lookup_config, run_all
 from vulnmap.report import (
@@ -53,11 +55,13 @@ def test_cve_round_trip(tmp_path):
 
 
 def test_version_round_trip(tmp_path):
-    version = VersionRecord("p1", "NPM", "1.0.0", date(2019, 2, 3))
+    cells = [VersionCount("NPM", 2019, 3), VersionCount("Pypi", 2015, 1)]
     ws = Workspace(tmp_path).ensure()
-    ws.write_ndjson(ws.versions_path, (version,))
-    ws.write_summary({"versions": 1})
-    assert list(ws.load_versions()) == [version]
+    ws.write_ndjson(ws.versions_path, cells)
+    assert ws.versions_path.read_text(encoding="utf-8") == '["NPM", 2019, 3]\n["Pypi", 2015, 1]\n'
+    ws.write_summary({"versions": 4})  # the versions the cells count, not the rows
+    loaded = list(ws.load_versions())
+    assert loaded == cells and [type(c) for c in loaded] == [VersionCount] * 2
 
 
 def test_mapping_round_trip_all_strategies(tmp_path):
@@ -186,7 +190,7 @@ def _document(rng: random.Random):
         repo_link = rng.choice((None, text()))
         return PackageRecord(text(), text(), text(), (text(), text()), text(), repo_link)
     if kind == 1:
-        return VersionRecord(text(), text(), text(), date(rng.randrange(1, 10_000), 2, 28))
+        return VersionCount(text(), rng.randrange(1, 10_000), rng.randrange(1, 10**6))
     if kind == 2:
         pair = CveCpe(text(), text())
         return CveRecord(f"CVE-2019-{rng.randrange(10**4, 10**6)}", text(), (text(),),
@@ -266,9 +270,8 @@ def _traced_peak(fn):
 
 
 def test_report_readers_hold_no_records(tmp_path):
-    # What report reads of packages.ndjson, versions.ndjson, cves.ndjson and the
-    # mapping files peaks at a few blocks of lines, not at the record list a full
-    # load builds.
+    # What report reads of packages.ndjson, cves.ndjson and the mapping files
+    # peaks at a few blocks of lines, not at the record list a full load builds.
     ws = Workspace(tmp_path).ensure()
     platforms = ("NPM", "Pypi", "Maven", "Go")
     licenses = ("MIT", "Apache-2.0", "")
@@ -278,18 +281,13 @@ def test_report_readers_hold_no_records(tmp_path):
             + ("null]\n" if i % 5 == 0 else f'"github.com/o{i % 40}/r{i % 25}"]\n')
             for i in range(100_000)
         )
-    with open(ws.versions_path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f'["P{i % 9000}", "{platforms[i % 4]}", "1.{i}.0", "20{10 + i % 10}-0{1 + i % 9}-01"]\n'
-            for i in range(200_000)
-        )
     cves = [
         mk_cve(f"CVE-2019-{10000 + i}", summary=f"entry {i}", refs=(f"https://github.com/o/{i}",),
                products=[(f"prod{i}-{j}", "node.js") for j in range(40)], year=2010 + i % 10)
         for i in range(1000)
     ]
     ws.write_ndjson(ws.cves_path, cves)
-    ws.write_summary({"packages": 100_000, "versions": 200_000, "cves": len(cves)})
+    ws.write_summary({"packages": 100_000, "cves": len(cves)})
 
     folded, counts = _traced_peak(lambda: package_counts(ws.load_packages()))
     packages = list(ws.load_packages())
@@ -299,15 +297,6 @@ def test_report_readers_hold_no_records(tmp_path):
     assert counts == package_counts(packages)
     assert len(counts.repo_links) == 160
     assert folded * 100 < listed, (folded, listed)
-
-    streamed, report = _traced_peak(lambda: versions_per_year(ws.load_versions()))
-    versions = list(ws.load_versions())
-    # The list's size counted without tracemalloc, which slows each allocation several times.
-    listed = sys.getsizeof(versions) + sum(sys.getsizeof(v) + sum(map(sys.getsizeof, v))
-                                           for v in versions)
-    assert report.metadata["total_versions"] == len(versions) == 200_000
-    assert report.rows == versions_per_year(versions).rows
-    assert streamed * 100 < listed, (streamed, listed)
 
     year_peak, years = _traced_peak(lambda: {c.cve_id: c.year for c in ws.load_cves()})
     cve_peak, loaded = _traced_peak(lambda: list(ws.load_cves()))
@@ -339,6 +328,31 @@ def test_report_readers_hold_no_records(tmp_path):
         (("fuzzy", "Go"), 3), (("fuzzy", "Maven"), 3),
     ]
     assert streamed * 100 < listed, (streamed, listed)
+
+
+def test_versions_unit_holds_no_version_records(tmp_path):
+    # ingest's versions unit keeps only a count per (platform, year): its peak
+    # is a few blocks of the CSV and the digest's buffer, not the record list
+    # a full load builds, and report reads only those counts.
+    platforms = ("NPM", "Pypi", "Maven", "Go")
+    versions = tmp_path / "versions.csv"
+    with open(versions, "w", encoding="utf-8") as fh:
+        fh.write("Platform,Project Name,Project ID,Number,Published Timestamp\n")
+        fh.writelines(f"{platforms[i % 4]},n{i % 9000},P{i % 9000},1.{i}.0,"
+                      f"20{10 + i % 10}-0{1 + i % 9}-01 00:00:00 UTC\n" for i in range(200_000))
+    stage = Workspace(tmp_path / "stage").ensure()
+    peak, answer = _traced_peak(lambda: units._stage_input(
+        ("versions", 0), versions, (0, None), stage, {}, None))
+    with open(versions, encoding="utf-8", newline="") as fh:
+        records = list(load_versions(fh))
+    # The list's size counted without tracemalloc, which slows each allocation several times.
+    listed = sys.getsizeof(records) + sum(sys.getsizeof(v) + sum(map(sys.getsizeof, v))
+                                          for v in records)
+    assert answer["rows"] == len(records) == 200_000 and answer["rejects"] == 0
+    assert answer["cells"] == count_versions(records)
+    assert len(answer["cells"]) == 20  # each platform publishes in five of the ten years
+    assert versions_per_year(answer["cells"]).metadata["total_versions"] == 200_000
+    assert peak * 20 < listed, (peak, listed)
 
 
 def test_map_holds_no_package_list(tmp_path, capsys):

@@ -7,12 +7,16 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from . import ingest as ing
-from . import report as rep
 from . import store
-from .match import STRATEGY_KEYS, LookupConfig, default_lookup_config, load_lookup_config, run_all
+from .records import STRATEGY_KEYS, PackageRecord
+
+if TYPE_CHECKING:
+    from .lookup import LookupConfig
+
+# A command imports the modules it runs in its own body, so each compiles
+# only those: ingest, map and report never compile each other's modules.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -25,39 +29,39 @@ class CommandError(Exception):
 
 class ReportSpec(NamedTuple):
     snapshot: str  # the store snapshot the builder reads: a key of SNAPSHOTS
-    build: Callable  # (snapshot, workspace, top_k or None) -> rep.Report
+    build: Callable  # (vulnmap.report, snapshot, workspace, top_k or None) -> Report
     needs: tuple[str, ...] = ()  # strategy keys; at least one mapping file must exist
 
 
-# Loaders and report functions are looked up when called, never captured here,
-# so wrappers installed on ``store.Workspace`` or ``vulnmap.report`` apply.
+# Each builder takes the ``vulnmap.report`` module, which only ``report``
+# imports. Loaders and report functions are looked up when called, never
+# captured here, so wrappers installed on ``store.Workspace`` or
+# ``vulnmap.report`` apply.
 SNAPSHOTS: dict[str, Callable] = {
-    "packages": lambda ws: rep.package_counts(ws.load_packages()),  # one pass, no list
-    "versions": lambda ws: ws.load_versions(),  # its counts per (platform, year)
-    "cves": lambda ws: {c.cve_id: c.year for c in ws.load_cves()},  # no report reads more
-    "mappings": lambda ws: {
+    "packages": lambda rep, ws: rep.package_counts(ws.load_packages()),  # one pass, no list
+    "versions": lambda rep, ws: ws.load_versions(),  # its counts per (platform, year)
+    "cves": lambda rep, ws: {c.cve_id: c.year for c in ws.load_cves()},  # no report reads more
+    "mappings": lambda rep, ws: {
         key: ws.load_mappings(key) for key in STRATEGY_KEYS if ws.mappings_path(key).exists()
     },
 }
 
 # Reports that read the same snapshot are adjacent, so "all" loads each once.
-_SHARE_K, _RANK_K = rep.DEFAULT_TOP_K_SHARE, rep.DEFAULT_TOP_K_RANKING
 REPORTS: dict[str, ReportSpec] = {
-    "platform-share": ReportSpec(
-        "packages", lambda pkgs, ws, k: rep.platform_project_share(pkgs, k or _SHARE_K)),
-    "license-distribution": ReportSpec(
-        "packages", lambda pkgs, ws, k: rep.license_distribution(pkgs, k or _SHARE_K)),
-    "top-repo-links": ReportSpec(
-        "packages", lambda pkgs, ws, k: rep.top_repo_links(pkgs, k or _RANK_K)),
+    "platform-share": ReportSpec("packages", lambda rep, pkgs, ws, k: (
+        rep.platform_project_share(pkgs, k or rep.DEFAULT_TOP_K_SHARE))),
+    "license-distribution": ReportSpec("packages", lambda rep, pkgs, ws, k: (
+        rep.license_distribution(pkgs, k or rep.DEFAULT_TOP_K_SHARE))),
+    "top-repo-links": ReportSpec("packages", lambda rep, pkgs, ws, k: (
+        rep.top_repo_links(pkgs, k or rep.DEFAULT_TOP_K_RANKING))),
     "versions-per-year": ReportSpec(
-        "versions", lambda versions, ws, k: rep.versions_per_year(versions)),
+        "versions", lambda rep, versions, ws, k: rep.versions_per_year(versions)),
     "cve-per-year": ReportSpec(
-        "cves", lambda years, ws, k: rep.cve_per_year(years)),
-    "mapped-cve-per-year": ReportSpec(
-        "cves", lambda years, ws, k: rep.mapped_cve_per_year(ws.load_mappings("strict"), years),
-        needs=("strict",)),
-    "vulnerable-packages": ReportSpec(
-        "mappings", lambda mappings, ws, k: rep.vulnerable_package_count(mappings, k or _RANK_K),
+        "cves", lambda rep, years, ws, k: rep.cve_per_year(years)),
+    "mapped-cve-per-year": ReportSpec("cves", lambda rep, years, ws, k: (
+        rep.mapped_cve_per_year(ws.load_mappings("strict"), years)), needs=("strict",)),
+    "vulnerable-packages": ReportSpec("mappings", lambda rep, mappings, ws, k: (
+        rep.vulnerable_package_count(mappings, k or rep.DEFAULT_TOP_K_RANKING)),
         needs=STRATEGY_KEYS),
 }
 ALL_REPORTS = tuple(REPORTS)
@@ -101,6 +105,8 @@ def _positive_int(text: str) -> int:
 
 
 def _lookup(args: argparse.Namespace) -> LookupConfig:
+    from .lookup import default_lookup_config, load_lookup_config
+
     if args.lookup is None:
         return default_lookup_config()
     try:
@@ -110,13 +116,15 @@ def _lookup(args: argparse.Namespace) -> LookupConfig:
 
 
 def _load_cve_fields(path: Path) -> dict[str, str]:
+    from .ingest import DEFAULT_CVE_FIELDS
+
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
     for key, value in doc.items():
-        if key not in ing.DEFAULT_CVE_FIELDS:
-            raise ValueError(f"unknown field {key!r} (known: {', '.join(ing.DEFAULT_CVE_FIELDS)})")
+        if key not in DEFAULT_CVE_FIELDS:
+            raise ValueError(f"unknown field {key!r} (known: {', '.join(DEFAULT_CVE_FIELDS)})")
         if not isinstance(value, str):
             raise ValueError(f"field {key!r} must name a string key, got {value!r}")
     return doc
@@ -169,7 +177,7 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     inputs = {flag: path for flag, path in inputs.items() if path is not None}
     # One CPU where os.sched_getaffinity is missing, as on macOS.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    from .units import stage_inputs  # only here: map and report never compile it
+    from .units import stage_inputs
     # Every store file is written to .staging and moved in only once all inputs have loaded.
     with workspace.lock():
         with workspace.staging() as stage:
@@ -193,8 +201,19 @@ class _PackageStream:
     def __init__(self, workspace: store.Workspace):
         self.workspace = workspace
 
-    def __iter__(self) -> Iterator[ing.PackageRecord]:
+    def __iter__(self) -> Iterator[PackageRecord]:
         return self.workspace.load_packages()
+
+
+def run_all(*args, **kwargs):
+    """``match.run_all``, imported only when called.
+
+    ``cmd_map`` calls it through this module, so a wrapper set on
+    ``cli.run_all`` applies (``perfbench/tracer.py`` sets one).
+    """
+    from . import match
+
+    return match.run_all(*args, **kwargs)
 
 
 def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
@@ -233,6 +252,8 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
 
 
 def cmd_report(args: argparse.Namespace, workspace: store.Workspace) -> dict:
+    from . import report as rep
+
     _require_store(workspace)
     names = ALL_REPORTS if args.report == "all" else (args.report,)
     written = []
@@ -252,8 +273,8 @@ def cmd_report(args: argparse.Namespace, workspace: store.Workspace) -> dict:
                 spec = REPORTS[name]
                 if spec.snapshot != kind:
                     data = None  # drop the previous snapshot before loading the next
-                    kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](workspace)
-                report = spec.build(data, workspace, args.top_k)
+                    kind, data = spec.snapshot, SNAPSHOTS[spec.snapshot](rep, workspace)
+                report = spec.build(rep, data, workspace, args.top_k)
                 report.metadata["inputs"] = summary.get("inputs", {})
                 rep.export_report(report, args.format, stage.report_path(name, args.format))
                 written.append(str(workspace.report_path(name, args.format)))

@@ -11,15 +11,16 @@ from collections import Counter, deque
 from datetime import date
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 from urllib.parse import urlsplit
 
 from .cpe import MalformedCpe, normalize_component, parse_cpe23
+from .records import (
+    _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionCount, VersionRecord,
+)
 
 SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 
-# ASCII digits only: \d also matches other scripts' digits, which int() accepts.
-CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}$")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _WHITESPACE = re.compile(r"\s*")
 # A scheme, a host of ASCII letters, digits, dots and hyphens (so no userinfo,
@@ -31,11 +32,6 @@ _PLAIN_URL = re.compile(
     r"[A-Za-z][A-Za-z0-9+.-]*://([A-Za-z0-9.-]+)(?![^/?#])"
     r"(?:/+([^/?#\t\r\n]+)/+([^/?#\t\r\n]+)(?![^/?#]))?"
 )
-# Characters per read of a CVE dump file, and per block of store lines read
-# back (store.Workspace._rows). Larger reads cut fewer entries off but
-# hold more text: with 64 KiB reads a small-entry NDJSON load peaked at
-# 0.33 MB traced, against 0.05 MB with these.
-_READ_CHARS = 8192
 
 # Libraries.io CSV schemas (logical field -> header name).
 DEFAULT_PACKAGE_COLUMNS = {
@@ -71,50 +67,6 @@ class CsvStructure(ValueError):
 
 class JsonStructure(ValueError):
     """Document-level JSON malformation that prevents further streaming."""
-
-
-class PackageRecord(NamedTuple):
-    package_key: str
-    platform: str
-    name: str
-    keywords: tuple[str, ...] = ()
-    license: str = ""
-    repo_link: str | None = None  # "provider/owner/repository"
-
-
-class VersionRecord(NamedTuple):
-    package_key: str
-    platform: str
-    version_label: str
-    published: date
-
-
-class VersionCount(NamedTuple):
-    """The versions of one platform published in one year: a row of ``versions.ndjson``."""
-
-    platform: str
-    year: int
-    count: int
-
-
-class CveCpe(NamedTuple):
-    """The two fields of a CPE name that mapping reads, wildcards kept."""
-
-    product: str
-    target_sw: str
-
-
-class CveRecord(NamedTuple):
-    cve_id: str
-    summary: str
-    references: tuple[str, ...]
-    published: date | None
-    cpes: tuple[CveCpe, ...]  # distinct, in first-seen order
-
-    @property
-    def year(self) -> int:
-        """Publication year, falling back to the year embedded in the id."""
-        return int(self.cve_id.split("-")[1]) if self.published is None else self.published.year
 
 
 def parse_date(text) -> date | None:

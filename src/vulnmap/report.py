@@ -9,11 +9,10 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
-from .ingest import PackageRecord, VersionCount
-from .match import MappingResult
-
 if TYPE_CHECKING:
     from decimal import Decimal
+
+    from .records import MappingResult, PackageRecord, VersionCount
 
 OTHERS_LABEL = "Others"
 UNSPECIFIED_LABEL = "(unspecified)"

@@ -18,8 +18,10 @@ from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .ingest import _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionCount
-from .match import KEY_STRATEGIES, Evidence, MappingResult
+from .records import (
+    _READ_CHARS, CVE_ID_RE, KEY_STRATEGIES, CveCpe, CveRecord, Evidence, MappingResult,
+    PackageRecord, VersionCount,
+)
 
 LOCK_NAME = ".lock"
 STAGING_NAME = ".staging"

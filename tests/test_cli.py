@@ -1651,22 +1651,31 @@ def test_readme_flags_table_matches_parser(capsys):
     assert readme_flags - parser_flags == set(), "README flags the parser does not have"
 
 
+def _modules_added(*argv: str) -> set[str]:
+    """The modules that ``import vulnmap.cli``, then ``main(argv)`` if given, add in a new process.
+
+    The modules the interpreter has loaded before the import, site's
+    included, are left out.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
+    script = (
+        "import sys; bare = set(sys.modules); import vulnmap.cli; "
+        "code = vulnmap.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print(*sorted(set(sys.modules) - bare)); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     """Records are NamedTuples, so a command never imports dataclasses or inspect.
 
     Nor does it import multiprocessing, concurrent.futures or pickle.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
-    script = (
-        "import sys; bare = set(sys.modules); import vulnmap.cli; "
-        "print(*sorted(set(sys.modules) - bare))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
-    assert "vulnmap.match" in added and "vulnmap.report" in added
+    added = _modules_added()
     assert added.isdisjoint({"dataclasses", "inspect"})
     # Ingest forks its input processes itself, without these modules' import time.
     assert added.isdisjoint({"multiprocessing", "concurrent.futures", "pickle"})
@@ -1683,3 +1692,26 @@ def test_cli_import_loads_no_dataclass_machinery():
                           (vulnmap.ReportRow(("NPM",), 1), "count")):
         with pytest.raises(AttributeError):
             setattr(record, field, "x")
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """Each command imports what it runs, so none compiles another's modules.
+
+    Without bytecode files (PYTHONDONTWRITEBYTECODE, a read-only install)
+    every start compiles what it imports, about 1 ms per 100 lines.
+    """
+    ws = str(tmp_path / "ws")
+    ingest = _modules_added("ingest", "--workspace", ws, "--packages", PACKAGES, "--cves", CVES)
+    map_ = _modules_added("map", "--workspace", ws)
+    report = _modules_added("report", "--workspace", ws, "--report", "all")
+    assert {"vulnmap.units", "vulnmap.ingest", "vulnmap.lookup"} <= ingest
+    assert ingest.isdisjoint({"vulnmap.match", "vulnmap.fuzzy", "vulnmap.report"})
+    assert {"vulnmap.match", "vulnmap.fuzzy"} <= map_
+    assert map_.isdisjoint({"vulnmap.report", "vulnmap.units"})
+    # report reads the store's records: neither the loaders, the CPE parser,
+    # the matchers nor the lookup tables, and no gzip or inspect with them.
+    assert {"vulnmap.records", "vulnmap.report", "vulnmap.store"} <= report
+    assert report.isdisjoint({
+        "vulnmap.ingest", "vulnmap.match", "vulnmap.fuzzy", "vulnmap.cpe", "vulnmap.lookup",
+        "vulnmap.units", "gzip", "inspect",
+    })

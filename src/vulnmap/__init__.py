@@ -1,15 +1,16 @@
 """vulnmap: map CVE entries to open-source packages and report the frequencies.
 
-Every name of ``__all__`` and every submodule resolves from here, but a
-module is imported only when one of its names is first used (PEP 562), so
-``import vulnmap`` and each command compile only the modules they use.
+Every name of ``__all__``, and every module that exports one, resolves from
+here, but a module is imported only when one of its names is first used
+(PEP 562), so ``import vulnmap`` and each command compile only the modules
+they use.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Each module of the package, with the names it exports here.
+# Each module of the package that exports names here, with those names.
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "cpe": ("CpeRecord", "MalformedCpe", "Part", "normalize_component", "parse_cpe23"),
     "fuzzy": ("EmptyInput", "GramProfile", "best_match", "gram_profile", "similarity"),
@@ -32,9 +33,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "platform_project_share", "top_repo_links", "versions_per_year",
         "vulnerable_package_count",
     ),
-    "store": (),
-    "units": (),
-    "cli": (),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOMES)

@@ -1651,15 +1651,15 @@ def test_readme_flags_table_matches_parser(capsys):
     assert readme_flags - parser_flags == set(), "README flags the parser does not have"
 
 
-def _modules_added(*argv: str) -> set[str]:
-    """The modules that ``import vulnmap.cli``, then ``main(argv)`` if given, add in a new process.
+def _modules_added(*argv: str, imports: str = "vulnmap.cli") -> set[str]:
+    """The modules that ``import <imports>``, then ``main(argv)`` if given, add in a new process.
 
     The modules the interpreter has loaded before the import, site's
     included, are left out.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
     script = (
-        "import sys; bare = set(sys.modules); import vulnmap.cli; "
+        f"import sys; bare = set(sys.modules); import {imports}; "
         "code = vulnmap.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
         "print(*sorted(set(sys.modules) - bare)); sys.exit(code)"
     )
@@ -1675,7 +1675,11 @@ def test_cli_import_loads_no_dataclass_machinery():
 
     Nor does it import multiprocessing, concurrent.futures or pickle.
     """
-    added = _modules_added()
+    # Every module a command may import, so that the checks cover them all.
+    added = _modules_added(
+        imports="vulnmap.cli, vulnmap.ingest, vulnmap.lookup, vulnmap.match, vulnmap.report"
+    )
+    assert {"vulnmap.cpe", "vulnmap.fuzzy", "vulnmap.records", "vulnmap.store"} <= added
     assert added.isdisjoint({"dataclasses", "inspect"})
     # Ingest forks its input processes itself, without these modules' import time.
     assert added.isdisjoint({"multiprocessing", "concurrent.futures", "pickle"})
@@ -1704,6 +1708,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     ingest = _modules_added("ingest", "--workspace", ws, "--packages", PACKAGES, "--cves", CVES)
     map_ = _modules_added("map", "--workspace", ws)
     report = _modules_added("report", "--workspace", ws, "--report", "all")
+    # No command loads dataclasses, or forks through multiprocessing; OpenSSL
+    # and libmpdec only where used. inspect is checked for report alone:
+    # importlib.resources, which reads the default lookup tables, loads it
+    # on Python 3.12 and later.
+    for added in ingest, map_, report:
+        assert added.isdisjoint({"dataclasses", "multiprocessing", "concurrent.futures", "pickle"})
+    assert ingest.isdisjoint({"decimal", "_decimal"}) and map_.isdisjoint({"decimal", "_decimal"})
+    assert report.isdisjoint({"hashlib", "_hashlib", "signal"})
     assert {"vulnmap.units", "vulnmap.ingest", "vulnmap.lookup"} <= ingest
     assert ingest.isdisjoint({"vulnmap.match", "vulnmap.fuzzy", "vulnmap.report"})
     assert {"vulnmap.match", "vulnmap.fuzzy"} <= map_

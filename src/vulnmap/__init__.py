@@ -24,8 +24,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "lookup": ("PlatformLookup", "default_lookup_config", "load_lookup_config"),
     "match": (
-        "build_indexes", "extract_reference_links", "infer_platform", "partial_fuzzy_map",
-        "repository_map", "run_all", "strict_name_map",
+        "build_indexes", "extract_reference_links", "infer_platform", "run_all",
     ),
     "report": (
         "PackageCounts", "Report", "ReportRow", "cve_per_year", "export_report",

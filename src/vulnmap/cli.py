@@ -66,6 +66,8 @@ REPORTS: dict[str, ReportSpec] = {
 }
 ALL_REPORTS = tuple(REPORTS)
 REPORT_FORMATS = ("csv", "json")
+# The --strategy choices beyond the strategy keys, each naming several keys.
+STRATEGY_GROUPS = {"repository": ("repository_all", "repository_first"), "all": STRATEGY_KEYS}
 
 
 def _fail(message: str, code: int = EXIT_ERROR) -> int:
@@ -141,14 +143,6 @@ def _require_store(workspace: store.Workspace) -> None:
             f"workspace {workspace.root} holds a store from another vulnmap version; "
             "run 'vulnmap ingest' again"
         )
-
-
-def _selected_strategies(strategy: str, mode: str | None) -> tuple[str, ...]:
-    if strategy == "all":
-        return STRATEGY_KEYS
-    if strategy != "repository":
-        return (strategy,)
-    return (f"repository_{mode}",) if mode else ("repository_all", "repository_first")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,7 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             cves,
             lookup,
             cutoff=args.cutoff,
-            strategies=_selected_strategies(args.strategy, args.mode),
+            strategies=STRATEGY_GROUPS.get(args.strategy, (args.strategy,)),
             go_last_segment=args.go_last_segment,
         )
         outcome.tallies["malformed_cpes"] = summary.get("malformed_cpes", 0)
@@ -316,17 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--lookup", type=Path, help=lookup_help)
     p_map.add_argument("--cutoff", type=_cutoff_arg, default=0.3,
                        help="fuzzy similarity cutoff (default 0.3)")
-    p_map.add_argument("--strategy", choices=("strict", "fuzzy", "repository", "all"),
-                       default="all")
-    p_map.add_argument("--mode", choices=("all", "first"), default=None,
-                       help="repository counting mode (default: both)")
+    p_map.add_argument("--strategy", choices=(*STRATEGY_KEYS, *STRATEGY_GROUPS), default="all",
+                       help="a strategy key, 'repository' for both repository keys, or 'all'")
     p_map.add_argument("--go-last-segment", action="store_true",
                        help="extension: also match the last segment of Go module paths")
 
     p_report = sub.add_parser("report", help="export analytics from the workspace")
     add_common(p_report)
-    p_report.add_argument("--report", default="all",
-                          help="report name or 'all' (names: %s)" % ", ".join(ALL_REPORTS))
+    p_report.add_argument("--report", choices=("all", *ALL_REPORTS), default="all")
     p_report.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p_report.add_argument("--top-k", type=_positive_int, default=None)
 
@@ -337,13 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.workspace:
         return _fail("no workspace given (use --workspace or set VULNMAP_WORKSPACE)", EXIT_USAGE)
-    if args.command == "report" and args.report != "all" and args.report not in ALL_REPORTS:
-        return _fail(
-            f"unknown report {args.report!r} (choose from {', '.join(ALL_REPORTS)} or 'all')",
-            EXIT_USAGE,
-        )
-    if args.command == "map" and args.mode is not None and args.strategy != "repository":
-        return _fail("--mode applies only to --strategy repository", EXIT_USAGE)
     workspace = store.Workspace(args.workspace)
     commands = {"ingest": cmd_ingest, "map": cmd_map, "report": cmd_report}
     try:

@@ -324,11 +324,20 @@ def run_all(
     strategies: tuple[str, ...] = STRATEGY_KEYS,
     go_last_segment: bool = False,
 ) -> RunOutcome:
-    """Run the selected strategies and return keyed results plus tallies.
+    """Run the strategies named by ``strategies``; return keyed results plus tallies.
+
+    Each key is one of ``STRATEGY_KEYS``: ``strict`` (``go_last_segment``
+    also tries a Go module's last path segment), ``fuzzy`` (scored against
+    ``cutoff``), ``repository_all`` or ``repository_first``. Each key's
+    tallies hold its CVE counts, fuzzy's also ``ambiguous_platform``. An
+    unknown key raises ValueError before ``packages`` is read.
 
     ``packages`` is iterated once, whatever the strategies, so any iterable
     works, a one-shot stream included; only what the CVEs ask for is kept.
     """
+    for key in strategies:
+        if key not in KEY_STRATEGIES:
+            raise ValueError(f"unknown strategy {key!r} (known: {', '.join(STRATEGY_KEYS)})")
     tallies: dict = {key: {} for key in strategies}
     fuzzy = "fuzzy" in tallies
     if fuzzy:
@@ -362,66 +371,3 @@ def run_all(
         for key in strategies
     }
     return RunOutcome(results=results, tallies=tallies)
-
-
-def _run_one(key: str, tallies: dict | None, *args, **kwargs) -> list[MappingResult]:
-    """``run_all`` with the one strategy ``key``: its results; ``tallies`` gets its CVE counts."""
-    outcome = run_all(*args, strategies=(key,), **kwargs)
-    if tallies is not None:
-        tallies.update(outcome.tallies[key])
-    return outcome.results[key]
-
-
-def strict_name_map(
-    packages: Iterable[PackageRecord],
-    cves: list[CveRecord],
-    lookup: PlatformLookup,
-    go_last_segment: bool = False,
-    tallies: dict | None = None,
-) -> list[MappingResult]:
-    """Exact-name matching gated by platform evidence.
-
-    A package maps to a CVE when its normalized name equals one of the
-    CVE's product values and the package's platform is corroborated either
-    by a target_sw alias or by a summary keyword. ``go_last_segment`` is an
-    extension that additionally compares the last path segment of Go module
-    names (off by default: full-path Go names intentionally fail to match
-    bare product names). ``tallies``, when given, receives the CVE counts.
-    """
-    return _run_one("strict", tallies, packages, cves, lookup, go_last_segment=go_last_segment)
-
-
-def partial_fuzzy_map(
-    packages: Iterable[PackageRecord],
-    cves: list[CveRecord],
-    lookup: PlatformLookup,
-    cutoff: float = 0.3,
-    tallies: dict | None = None,
-) -> list[MappingResult]:
-    """Platform inference plus substring candidates plus fuzzy selection.
-
-    For each CVE with exactly one inferred platform, packages on that
-    platform whose name or keywords contain a product value compete; the
-    candidate name most similar to the product wins if it clears the
-    cutoff, at most one result per (CVE, product). ``tallies``, when given,
-    receives the CVE counts including ``ambiguous_platform``.
-    """
-    return _run_one("fuzzy", tallies, packages, cves, lookup, cutoff=cutoff)
-
-
-def repository_map(
-    packages: Iterable[PackageRecord],
-    cves: list[CveRecord],
-    mode: str = "all",
-    tallies: dict | None = None,
-) -> list[MappingResult]:
-    """Match CVE reference links against package repo_links.
-
-    ``mode="all"`` credits every package sharing a matched repository;
-    ``mode="first"`` credits only the first package (source order) of the
-    first matching link per CVE. ``tallies``, when given, receives the CVE
-    counts.
-    """
-    if mode not in ("all", "first"):
-        raise ValueError(f"mode must be 'all' or 'first', got {mode!r}")
-    return _run_one(f"repository_{mode}", tallies, packages, cves, None)  # no lookup is read

@@ -155,12 +155,13 @@ def _each_input(stage_one: Callable[..., dict], units: dict[tuple, tuple], fork:
         return {unit: stage_one(unit, *args) for unit, args in units.items()}
     pids: dict[tuple, int] = {}  # the children not yet reaped
     pipes: dict[tuple, int] = {}  # the read ends not yet read
+    parent = os.getpid()
     try:
         for unit, args in units.items():
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _answer_and_exit(write_end, stage_one, unit, *args)
+                _answer_and_exit(parent, write_end, stage_one, unit, *args)
             os.close(write_end)
             pids[unit], pipes[unit] = pid, read_end
         answers = {}
@@ -187,14 +188,19 @@ def _each_input(stage_one: Callable[..., dict], units: dict[tuple, tuple], fork:
                 os.waitpid(pid, 0)
 
 
-def _answer_and_exit(write_end: int, call: Callable[..., dict], *args) -> NoReturn:
+def _answer_and_exit(parent: int, write_end: int, call: Callable[..., dict], *args) -> NoReturn:
     """In a forked child: write what ``call(*args)`` returns, or its error, as one JSON line; exit.
 
     The child never returns into the parent's code, so no context manager or
-    exit handler of the parent's runs twice.
+    exit handler of the parent's runs twice. Once ``parent`` is gone it
+    exits within 0.1 s, so no orphan keeps the inherited workspace lock.
     """
     code = EXIT_ERROR
     try:
+        import signal  # here, not at the top: only the forked children use it
+
+        signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(EXIT_ERROR))
+        signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
         try:
             answer = call(*args)
         except (CommandError, OSError) as exc:

@@ -13,6 +13,19 @@ from urllib.parse import urlsplit
 from vulnmap.fuzzy import EmptyInput, similarity
 from vulnmap.ingest import SUPPORTED_PROVIDERS, CveCpe, CveRecord, PackageRecord, extract_repo_link
 from vulnmap.cpe import parse_cpe23
+from vulnmap.match import run_all
+
+
+def run_one(key: str, packages, cves, lookup=None, tallies: dict | None = None, **kwargs) -> list:
+    """``run_all`` with the one strategy ``key``: its results; ``tallies`` gets its CVE counts.
+
+    The repository strategies read no lookup, so they may be run without one.
+    """
+    outcome = run_all(packages, cves, lookup, strategies=(key,), **kwargs)
+    if tallies is not None:
+        tallies.update(outcome.tallies[key])
+    return outcome.results[key]
+
 
 # ---------------------------------------------------------------------------
 # oracle helpers

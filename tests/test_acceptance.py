@@ -23,6 +23,7 @@ from helpers import (
     oracle_repository,
     oracle_strict,
     random_corpus,
+    run_one,
 )
 from test_cpe import generate_valid_cpe
 from vulnmap.cpe import MalformedCpe, Part, parse_cpe23
@@ -30,7 +31,7 @@ from vulnmap.fuzzy import EmptyInput, best_match, normalize, similarity
 from vulnmap.ingest import (
     count_versions, load_cves, load_packages, load_versions, open_text_auto,
 )
-from vulnmap.match import default_lookup_config, partial_fuzzy_map, repository_map, run_all, strict_name_map
+from vulnmap.match import default_lookup_config, run_all
 from vulnmap.report import (
     export_report,
     license_distribution,
@@ -80,22 +81,22 @@ def test_criterion_1_oracle_equivalence():
         started = time.perf_counter()
         packages, cves = load_oracle_corpus()
 
-        got_strict = {as_tuple(r) for r in strict_name_map(packages, cves, LOOKUP)}
+        got_strict = {as_tuple(r) for r in run_one("strict", packages, cves, LOOKUP)}
         want_strict = oracle_strict(packages, cves, LOOKUP)
         assert got_strict == want_strict
 
-        got_fuzzy = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, LOOKUP, 0.3)}
+        got_fuzzy = {as_tuple(r) for r in run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)}
         want_fuzzy = oracle_fuzzy(packages, cves, LOOKUP, 0.3)
         assert got_fuzzy == want_fuzzy
 
         for mode in ("all", "first"):
-            got_repo = {as_tuple(r) for r in repository_map(packages, cves, mode)}
+            got_repo = {as_tuple(r) for r in run_one(f"repository_{mode}", packages, cves)}
             assert got_repo == oracle_repository(packages, cves, mode)
 
         # The fixture must actually exercise the clauses.
         assert len(got_strict) >= 15
         assert len(got_fuzzy) >= 10
-        assert len({as_tuple(r) for r in repository_map(packages, cves, "all")}) >= 10
+        assert len({as_tuple(r) for r in run_one("repository_all", packages, cves)}) >= 10
 
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"runtime budget exceeded: {elapsed:.2f}s"
@@ -115,8 +116,8 @@ def test_criterion_2_mode_dominance():
         corpora.extend(random_corpus(rng, 50, 50) for _ in range(100))
         dominated = 0
         for packages, cves in corpora:
-            all_links = repository_map(packages, cves, "all")
-            first = repository_map(packages, cves, "first")
+            all_links = run_one("repository_all", packages, cves)
+            first = run_one("repository_first", packages, cves)
             assert {as_tuple(r) for r in first} <= {as_tuple(r) for r in all_links}
             all_counts = _distinct_counts(all_links)
             first_counts = _distinct_counts(first)
@@ -218,14 +219,14 @@ def test_criterion_4_fuzzy_properties():
             assert got == (None if best is None else (best[1], best[2]))
 
         packages, cves = load_oracle_corpus()
-        emitted = partial_fuzzy_map(packages, cves, LOOKUP, 0.3)
+        emitted = run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)
         assert emitted, "fixture must produce fuzzy results"
         assert all(r.confidence >= 0.3 for r in emitted)
         for _ in range(30):
             rpackages, rcves = random_corpus(rng, 40, 40)
             assert all(
                 r.confidence >= 0.3
-                for r in partial_fuzzy_map(rpackages, rcves, LOOKUP, 0.3)
+                for r in run_one("fuzzy", rpackages, rcves, LOOKUP, cutoff=0.3)
             )
 
 
@@ -352,7 +353,7 @@ def test_criterion_7_cve_snapshot_substitute_checks():
             ]
         with open_text_auto(projects) as fh:
             packages = list(load_packages(fh, platform_aliases=ALIASES))
-        strict = strict_name_map(packages, cves, LOOKUP)
+        strict = run_one("strict", packages, cves, LOOKUP)
         yearly = mapped_cve_per_year(strict, {cve.cve_id: cve.year for cve in cves})
         series: dict[str, dict[int, int]] = {}
         for row in yearly.rows:

@@ -442,17 +442,20 @@ def test_interrupted_ingest_reaps_every_child(tmp_path, capsys, monkeypatch):
     assert not (ws / ".staging").exists()
 
 
-def test_killed_ingest_leaves_the_lock_to_its_input_processes(tmp_path, capsys):
-    """The forked input processes inherit the lock and keep it until they finish their input."""
+def test_killed_ingest_stops_its_input_processes(tmp_path, capsys):
+    """Forked input processes whose ingest was killed exit at once, and give up its lock."""
     ws = tmp_path / "ws"
     assert ingest(capsys, ws)[0] == 0
     before = workspace_bytes(ws)
-    versions = tmp_path / "versions.csv"  # about a second of counting for its processes
+    versions = tmp_path / "versions.csv"
     with open(versions, "w", encoding="utf-8") as fh:
         fh.write(VERSIONS_CSV)
-        fh.writelines(f"NPM,lodash,P001,1.0.{i},2019-02-03 10:00:00 UTC\n" for i in range(600_000))
-    # Two CPUs whatever this machine has, so that ingest forks.
-    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+        fh.writelines(f"NPM,lodash,P001,1.0.{i},2019-02-03 10:00:00 UTC\n" for i in range(600))
+    # Two CPUs whatever this machine has, so that ingest forks, and a versions
+    # unit slowed to 50 ms a row: left to itself it would hold the lock for 30 s.
+    script = ("import os, sys, time; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from vulnmap import ingest; count = ingest.count_versions; "
+              "ingest.count_versions = lambda rows: count(r for r in rows if not time.sleep(0.05)); "
               "from vulnmap.cli import main; sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
     proc = subprocess.Popen(
@@ -468,12 +471,8 @@ def test_killed_ingest_leaves_the_lock_to_its_input_processes(tmp_path, capsys):
             time.sleep(0.01)
         proc.kill()
         proc.wait()
-        for argv in (["ingest", "--packages", PACKAGES, "--cves", CVES], ["map"]):
-            code, out, err = run(capsys, argv[0], "--workspace", str(ws), *argv[1:])
-            assert code == 1 and out == ""
-            assert err == f"vulnmap: error: workspace {ws} is locked by another command\n"
         # Every process that inherited stderr, the lock's holders among them, has exited.
-        assert proc.communicate(timeout=120)[1] == ""
+        assert proc.communicate(timeout=5)[1] == ""
     finally:
         proc.kill()
     with Workspace(ws).lock():
@@ -615,9 +614,12 @@ def test_mapping_manifest_counts_every_mapping_file(tmp_path, capsys):
     manifest = ws / "mappings.json"
     assert json.loads(manifest.read_text(encoding="utf-8")) == {"rows": _line_counts(ws)}
     assert run(capsys, "map", "--workspace", str(ws))[0] == 0
-    # A run of one strategy keeps the counts of the files it leaves as they are.
-    assert run(capsys, "map", "--workspace", str(ws), "--strategy", "repository",
-               "--mode", "first")[0] == 0
+    # A run of one strategy writes only its own file and keeps the counts of the others.
+    others = {p.name: p.read_bytes() for p in ws.glob("mappings_*.ndjson")
+              if p.name != "mappings_repository_first.ndjson"}
+    assert len(others) == 3
+    assert run(capsys, "map", "--workspace", str(ws), "--strategy", "repository_first")[0] == 0
+    assert {name: (ws / name).read_bytes() for name in others} == others
     counts = _line_counts(ws)
     assert sorted(counts) == sorted(cli.STRATEGY_KEYS)
     assert json.loads(manifest.read_text(encoding="utf-8")) == {"rows": counts}
@@ -1162,11 +1164,11 @@ def test_map_all_strategies_writes_four_files(tmp_path, capsys):
 def test_map_single_strategy_single_mode(tmp_path, capsys):
     ws = tmp_path / "ws"
     ingest(capsys, ws)
-    code, _, _ = run(capsys, "map", "--workspace", str(ws),
-                     "--strategy", "repository", "--mode", "first")
+    code, out, _ = run(capsys, "map", "--workspace", str(ws), "--strategy", "repository_first")
     assert code == 0
     produced = sorted(p.name for p in ws.glob("mappings_*.ndjson"))
     assert produced == ["mappings_repository_first.ndjson"]
+    assert sorted(json.loads(out)["results"]) == ["repository_first"]
 
 
 def test_map_repository_without_mode_runs_both(tmp_path, capsys):
@@ -1177,17 +1179,27 @@ def test_map_repository_without_mode_runs_both(tmp_path, capsys):
     assert produced == ["mappings_repository_all.ndjson", "mappings_repository_first.ndjson"]
 
 
-@pytest.mark.parametrize("strategy", ["strict", "fuzzy", "all"])
+def test_map_strategy_choices_are_the_keys_and_their_groups():
+    (p_map,) = (action.choices["map"] for action in cli.build_parser()._actions
+                if action.dest == "command")
+    (strategy,) = (action for action in p_map._actions if action.dest == "strategy")
+    assert strategy.choices == (*cli.STRATEGY_KEYS, "repository", "all")
+
+
+@pytest.mark.parametrize("strategy", ["strict", "fuzzy", "all", "repository"])
 def test_map_mode_without_repository_strategy_is_usage_error(tmp_path, capsys, strategy):
+    # Strategies are named by their keys alone: --mode is gone, not ignored,
+    # whichever strategy it is given with.
     ws = tmp_path / "ws"
     ingest(capsys, ws)
     assert run(capsys, "map", "--workspace", str(ws))[0] == 0
     before = workspace_bytes(ws)
-    code, out, err = run(capsys, "map", "--workspace", str(ws),
-                         "--strategy", strategy, "--mode", "first")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--workspace", str(ws), "--strategy", strategy, "--mode", "first"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert "--mode applies only to --strategy repository" in err
+    assert "unrecognized arguments: --mode first" in err
     assert workspace_bytes(ws) == before
 
 
@@ -1375,9 +1387,10 @@ def test_pipeline_idempotence(tmp_path, capsys):
 def test_unknown_report_is_usage_error(tmp_path, capsys):
     ws = tmp_path / "ws"
     ingest(capsys, ws)
-    code, _, err = run(capsys, "report", "--workspace", str(ws), "--report", "bogus")
-    assert code == 2
-    assert "bogus" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--workspace", str(ws), "--report", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_invalid_cutoff_is_usage_error(tmp_path, capsys):
@@ -1649,6 +1662,15 @@ def test_readme_flags_table_matches_parser(capsys):
     readme_flags = _readme_flags()
     assert parser_flags - readme_flags == set(), "flags missing from the README table"
     assert readme_flags - parser_flags == set(), "README flags the parser does not have"
+
+
+def test_readme_library_imports_are_exported():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^from vulnmap import \(([^)]*)\)", text, re.MULTILINE)
+    assert len(blocks) == 1
+    names = re.findall(r"\w+", blocks[0])
+    assert "run_all" in names
+    assert set(names) - set(vulnmap.__all__) == set(), "README imports names vulnmap does not export"
 
 
 def _modules_added(*argv: str, imports: str = "vulnmap.cli") -> set[str]:

@@ -14,6 +14,7 @@ from helpers import (
     oracle_repository,
     oracle_strict,
     random_corpus,
+    run_one,
 )
 from vulnmap.cpe import parse_cpe23
 from vulnmap.fuzzy import best_match, similarity
@@ -39,10 +40,7 @@ from vulnmap.match import (
     extract_reference_links,
     infer_platform,
     load_lookup_config,
-    partial_fuzzy_map,
-    repository_map,
     run_all,
-    strict_name_map,
 )
 
 LOOKUP = default_lookup_config().lookup
@@ -141,7 +139,7 @@ def test_build_indexes_key_count_matches_bruteforce(key):
 def test_strict_target_sw_gate():
     packages = [mk_pkg("p1", "NPM", "lodash"), mk_pkg("p2", "Pypi", "lodash")]
     cves = [mk_cve("CVE-2019-0001", products=[("lodash", "node.js")])]
-    results = strict_name_map(packages, cves, LOOKUP)
+    results = run_one("strict", packages, cves, LOOKUP)
     assert len(results) == 1
     r = results[0]
     assert (r.strategy, r.package_key, r.platform, r.confidence) == (
@@ -154,7 +152,7 @@ def test_strict_summary_gate():
     packages = [mk_pkg("p1", "NPM", "axios")]
     cves = [mk_cve("CVE-2019-0002", summary="The npm package axios is vulnerable.",
                    products=[("axios", "*")])]
-    results = strict_name_map(packages, cves, LOOKUP)
+    results = run_one("strict", packages, cves, LOOKUP)
     assert len(results) == 1
     assert results[0].evidence.kind == SUMMARY_KEYWORD
     assert results[0].evidence.payload == ("npm",)
@@ -163,22 +161,22 @@ def test_strict_summary_gate():
 def test_strict_requires_some_gate():
     packages = [mk_pkg("p1", "NPM", "lodash")]
     cves = [mk_cve("CVE-2019-0003", summary="A flaw.", products=[("lodash", "windows")])]
-    assert strict_name_map(packages, cves, LOOKUP) == []
+    assert run_one("strict", packages, cves, LOOKUP) == []
 
 
 def test_strict_summary_keyword_needs_word_boundary():
     packages = [mk_pkg("p1", "Go", "mux")]
     # "golang" appears only inside another word: no gate.
     cves = [mk_cve("CVE-2019-0004", summary="hypergolangish text", products=[("mux", "*")])]
-    assert strict_name_map(packages, cves, LOOKUP) == []
+    assert run_one("strict", packages, cves, LOOKUP) == []
 
 
 def test_strict_go_full_path_misses_bare_product():
     packages = [mk_pkg("g1", "Go", "github.com/owner/repo")]
     cves = [mk_cve("CVE-2019-0005", products=[("repo", "go")])]
-    assert strict_name_map(packages, cves, LOOKUP) == []
+    assert run_one("strict", packages, cves, LOOKUP) == []
     # Extension flag: last-segment comparison recovers the match.
-    recovered = strict_name_map(packages, cves, LOOKUP, go_last_segment=True)
+    recovered = run_one("strict", packages, cves, LOOKUP, go_last_segment=True)
     assert [r.package_key for r in recovered] == ["g1"]
 
 
@@ -186,14 +184,14 @@ def test_strict_multi_product_maps_multiple_packages():
     packages = [mk_pkg("p1", "NPM", "lodash"), mk_pkg("p2", "NPM", "lodash-es")]
     cves = [mk_cve("CVE-2019-0006",
                    products=[("lodash", "node.js"), ("lodash-es", "node.js")])]
-    results = strict_name_map(packages, cves, LOOKUP)
+    results = run_one("strict", packages, cves, LOOKUP)
     assert sorted(r.package_key for r in results) == ["p1", "p2"]
 
 
 def test_strict_duplicate_names_all_match():
     packages = [mk_pkg("p1", "NPM", "lodash"), mk_pkg("p2", "NPM", "lodash")]
     cves = [mk_cve("CVE-2019-0007", products=[("lodash", "node.js")])]
-    results = strict_name_map(packages, cves, LOOKUP)
+    results = run_one("strict", packages, cves, LOOKUP)
     assert sorted(r.package_key for r in results) == ["p1", "p2"]
 
 
@@ -235,7 +233,7 @@ def test_fuzzy_exact_beats_superstring():
     ]
     cves = [mk_cve("CVE-2019-0020", summary="the npm package react mishandles props",
                    products=[("react", "*")])]
-    results = partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.3)
+    results = run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)
     assert len(results) == 1
     r = results[0]
     assert (r.package_key, r.confidence) == ("p1", 1.0)
@@ -246,31 +244,31 @@ def test_fuzzy_exact_beats_superstring():
 def test_fuzzy_without_platform_yields_nothing():
     packages = [mk_pkg("p1", "NPM", "react")]
     cves = [mk_cve("CVE-2019-0021", summary="no hints", products=[("react", "*")])]
-    assert partial_fuzzy_map(packages, cves, LOOKUP) == []
+    assert run_one("fuzzy", packages, cves, LOOKUP) == []
 
 
 def test_fuzzy_keyword_containment_counts_as_candidate():
     packages = [mk_pkg("p1", "NPM", "dashboard-kit", keywords=("lodash", "ui"))]
     cves = [mk_cve("CVE-2019-0022", summary="npm advisory", products=[("lodash", "*")])]
-    results = partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.3)
+    results = run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)
     # Candidate via keyword, but scored against the name: stays under 0.3.
     assert similarity("lodash", "dashboard-kit") < 0.3
     assert results == []
-    relaxed = partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.0)
+    relaxed = run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.0)
     assert [r.package_key for r in relaxed] == ["p1"]
 
 
 def test_fuzzy_single_candidate_still_respects_cutoff():
     packages = [mk_pkg("p1", "NPM", "a-very-long-package-name-og-thing")]
     cves = [mk_cve("CVE-2019-0023", summary="npm advisory", products=[("og", "*")])]
-    assert partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.3) == []
+    assert run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3) == []
 
 
 def test_fuzzy_results_never_below_cutoff():
     rng = random.Random(555)
     for _ in range(25):
         packages, cves = random_corpus(rng, 40, 40)
-        for result in partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.3):
+        for result in run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3):
             assert result.confidence >= 0.3
 
 
@@ -280,7 +278,7 @@ def test_fuzzy_shared_name_goes_to_first_source_package():
         mk_pkg("p1", "NPM", "react"),
     ]
     cves = [mk_cve("CVE-2019-0024", summary="npm package react", products=[("react", "*")])]
-    results = partial_fuzzy_map(packages, cves, LOOKUP)
+    results = run_one("fuzzy", packages, cves, LOOKUP)
     assert [r.package_key for r in results] == ["p9"]
 
 
@@ -388,7 +386,7 @@ def test_fuzzy_equals_oracle_on_small_alphabet_corpora():
                    products=[(word(1), "*") for _ in range(rng.randint(1, 3))])
             for n in range(10)
         ]
-        got = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, LOOKUP, 0.3)}
+        got = {as_tuple(r) for r in run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)}
         assert got == oracle_fuzzy(packages, cves, LOOKUP, 0.3)
         mapped += len(got)
     assert mapped
@@ -403,7 +401,7 @@ def test_fuzzy_empty_pool_and_keyword_claimed_shared_name():
         mk_cve("CVE-2019-0030", summary="npm advisory", products=[("react", "*")]),
         mk_cve("CVE-2019-0031", summary="a maven artifact", products=[("react", "*")]),
     ]
-    results = partial_fuzzy_map(packages, cves, LOOKUP, cutoff=0.0)
+    results = run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.0)
     assert [(r.cve_id, r.package_key) for r in results] == [("CVE-2019-0030", "p2")]
 
 
@@ -431,7 +429,7 @@ def test_fuzzy_decides_each_platform_product_once(monkeypatch):
     monkeypatch.setattr("vulnmap.match.best_match", counting_best_match)
     for cutoff in (0.0, 0.3, 0.9):
         calls.clear()
-        got = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, LOOKUP, cutoff)}
+        got = {as_tuple(r) for r in run_one("fuzzy", packages, cves, LOOKUP, cutoff=cutoff)}
         assert sorted(calls) == ["lodash", "lodash", "react"]  # (NPM|Pypi, lodash), (NPM, react)
         assert got == oracle_fuzzy(packages, cves, LOOKUP, cutoff)
     assert {(cve_id, key) for cve_id, key, *_ in got} == {
@@ -452,16 +450,16 @@ def test_fuzzy_equals_oracle_on_bench_inputs(tmp_path, monkeypatch, workload):
         packages = list(load_packages(src, platform_aliases=config.platform_aliases))
     with open_text_auto(corpus.cves_path) as src:
         cves = list(load_cves(src))
-    got = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, config.lookup, 0.3)}
+    got = {as_tuple(r) for r in run_one("fuzzy", packages, cves, config.lookup, cutoff=0.3)}
     assert got
     assert got == oracle_fuzzy(packages, cves, config.lookup, 0.3)
 
 
 def _assert_strict_and_repository_equal_oracles(packages, cves, lookup):
-    strict = strict_name_map(packages, cves, lookup)
+    strict = run_one("strict", packages, cves, lookup)
     assert strict and {as_tuple(r) for r in strict} == oracle_strict(packages, cves, lookup)
     for mode in ("all", "first"):
-        got = repository_map(packages, cves, mode)
+        got = run_one(f"repository_{mode}", packages, cves)
         assert got and {as_tuple(r) for r in got} == oracle_repository(packages, cves, mode)
         assert got == sorted(got, key=lambda r: (r.cve_id, r.platform, r.package_key))
 
@@ -546,8 +544,8 @@ def _repo_corpus():
 def test_repository_modes():
     packages = _repo_corpus()
     cves = [mk_cve("CVE-2019-0040", refs=["https://github.com/a/b/issues/7"])]
-    all_links = repository_map(packages, cves, mode="all")
-    first_link = repository_map(packages, cves, mode="first")
+    all_links = run_one("repository_all", packages, cves)
+    first_link = run_one("repository_first", packages, cves)
     assert sorted(r.package_key for r in all_links) == ["p1", "p2", "p3"]
     assert [r.package_key for r in first_link] == ["p1"]
     assert all(r.confidence == 1.0 for r in all_links)
@@ -558,7 +556,7 @@ def test_repository_modes():
 def test_repository_no_links_yields_nothing():
     packages = _repo_corpus()
     cves = [mk_cve("CVE-2019-0041", refs=["https://example.com/a/b"])]
-    assert repository_map(packages, cves, mode="all") == []
+    assert run_one("repository_all", packages, cves) == []
 
 
 def test_repository_first_uses_reference_order():
@@ -568,21 +566,27 @@ def test_repository_first_uses_reference_order():
         refs=["https://github.com/nobody/nothing", "https://github.com/c/d",
               "https://github.com/a/b"],
     )
-    results = repository_map(packages, [cve], mode="first")
+    results = run_one("repository_first", packages, [cve])
     assert [r.package_key for r in results] == ["p4"]
 
 
-def test_repository_invalid_mode():
-    with pytest.raises(ValueError):
-        repository_map([], [], mode="both")
+def test_run_all_unknown_key_raises_before_reading_packages():
+    cves = [mk_cve("CVE-2019-0043", refs=["https://github.com/a/b"])]
+    for strategies in (("repository_both",), ("strict", "repository")):
+        packages = iter(_repo_corpus())  # one-shot: a read would consume it
+        known = "strict, fuzzy, repository_all, repository_first"
+        with pytest.raises(ValueError, match=rf"^unknown strategy '{strategies[-1]}' "
+                                             rf"\(known: {known}\)$"):
+            run_all(packages, cves, LOOKUP, strategies=strategies)
+        assert [p.package_key for p in packages] == ["p1", "p2", "p3", "p4", "p5"]
 
 
 def test_repository_first_subset_of_all_on_random_corpora():
     rng = random.Random(888)
     for _ in range(30):
         packages, cves = random_corpus(rng, 40, 40)
-        all_links = {as_tuple(r) for r in repository_map(packages, cves, mode="all")}
-        first = {as_tuple(r) for r in repository_map(packages, cves, mode="first")}
+        all_links = {as_tuple(r) for r in run_one("repository_all", packages, cves)}
+        first = {as_tuple(r) for r in run_one("repository_first", packages, cves)}
         assert first <= all_links
 
 
@@ -598,10 +602,10 @@ def test_shared_package_key_goes_to_first_source_package(strategy):
                  products=[("shared", "node.js")])
     if strategy == "strict":
         # Pypi passes on its summary keyword, NPM on its target_sw alias.
-        results = strict_name_map(packages, [cve], LOOKUP)
+        results = run_one("strict", packages, [cve], LOOKUP)
         evidence = (SUMMARY_KEYWORD, ("pypi",))
     else:
-        results = repository_map(packages, [cve], mode="all")
+        results = run_one("repository_all", packages, [cve])
         evidence = (REPO_LINK, ("github.com/a/b",))
     assert [(r.package_key, r.platform, tuple(r.evidence)) for r in results] == [
         ("k1", "Pypi", evidence),
@@ -634,10 +638,10 @@ def _fixture_corpus():
 def test_run_all_matches_individual_strategies():
     packages, cves = _fixture_corpus()
     outcome = run_all(packages, cves, LOOKUP, cutoff=0.3)
-    assert outcome.results["strict"] == strict_name_map(packages, cves, LOOKUP)
-    assert outcome.results["fuzzy"] == partial_fuzzy_map(packages, cves, LOOKUP, 0.3)
-    assert outcome.results["repository_all"] == repository_map(packages, cves, "all")
-    assert outcome.results["repository_first"] == repository_map(packages, cves, "first")
+    assert outcome.results["strict"] == run_one("strict", packages, cves, LOOKUP)
+    assert outcome.results["fuzzy"] == run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)
+    assert outcome.results["repository_all"] == run_one("repository_all", packages, cves)
+    assert outcome.results["repository_first"] == run_one("repository_first", packages, cves)
 
 
 def test_run_all_empty_corpus():
@@ -650,10 +654,10 @@ def test_run_all_tallies_sum_to_total():
     packages, cves = _fixture_corpus()
     outcome = run_all(packages, cves, LOOKUP)
     runners = {
-        "strict": lambda t: strict_name_map(packages, cves, LOOKUP, tallies=t),
-        "fuzzy": lambda t: partial_fuzzy_map(packages, cves, LOOKUP, tallies=t),
-        "repository_all": lambda t: repository_map(packages, cves, "all", tallies=t),
-        "repository_first": lambda t: repository_map(packages, cves, "first", tallies=t),
+        "strict": lambda t: run_one("strict", packages, cves, LOOKUP, tallies=t),
+        "fuzzy": lambda t: run_one("fuzzy", packages, cves, LOOKUP, tallies=t),
+        "repository_all": lambda t: run_one("repository_all", packages, cves, tallies=t),
+        "repository_first": lambda t: run_one("repository_first", packages, cves, tallies=t),
     }
     for key, runner in runners.items():
         tally = outcome.tallies[key]
@@ -671,10 +675,10 @@ def test_cve_order_permutation_invariance():
     packages, cves = _fixture_corpus()
     shuffled = cves[::-1]
     for runner in (
-        lambda c: strict_name_map(packages, c, LOOKUP),
-        lambda c: partial_fuzzy_map(packages, c, LOOKUP),
-        lambda c: repository_map(packages, c, "all"),
-        lambda c: repository_map(packages, c, "first"),
+        lambda c: run_one("strict", packages, c, LOOKUP),
+        lambda c: run_one("fuzzy", packages, c, LOOKUP),
+        lambda c: run_one("repository_all", packages, c),
+        lambda c: run_one("repository_first", packages, c),
     ):
         assert runner(cves) == runner(shuffled)
 
@@ -709,12 +713,12 @@ def test_mini_corpus_equals_bruteforce_oracles():
     rng = random.Random(2718)
     for _ in range(10):
         packages, cves = random_corpus(rng, 20, 15)
-        got_strict = {as_tuple(r) for r in strict_name_map(packages, cves, LOOKUP)}
+        got_strict = {as_tuple(r) for r in run_one("strict", packages, cves, LOOKUP)}
         assert got_strict == oracle_strict(packages, cves, LOOKUP)
-        got_fuzzy = {as_tuple(r) for r in partial_fuzzy_map(packages, cves, LOOKUP, 0.3)}
+        got_fuzzy = {as_tuple(r) for r in run_one("fuzzy", packages, cves, LOOKUP, cutoff=0.3)}
         assert got_fuzzy == oracle_fuzzy(packages, cves, LOOKUP, 0.3)
         for mode in ("all", "first"):
-            got_repo = {as_tuple(r) for r in repository_map(packages, cves, mode)}
+            got_repo = {as_tuple(r) for r in run_one(f"repository_{mode}", packages, cves)}
             assert got_repo == oracle_repository(packages, cves, mode)
 
 

@@ -170,7 +170,7 @@ def cmd_ingest(args: argparse.Namespace, workspace: store.Workspace) -> dict:
     inputs = {"packages": args.packages, "versions": args.versions, "cves": args.cves}
     inputs = {flag: path for flag, path in inputs.items() if path is not None}
     # One CPU where os.sched_getaffinity is missing, as on macOS.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
     from .units import stage_inputs
     # Every store file is written to .staging and moved in only once all inputs have loaded.
     with workspace.lock():

@@ -102,7 +102,7 @@ def sha256_file(path: str | Path) -> str:
     import hashlib  # only here: it loads OpenSSL, which only ingest's digests need
 
     digest = hashlib.sha256()
-    block = bytearray(1 << 20)  # one buffer for the whole file, not a new bytes per read
+    block = bytearray(1 << 16)  # one buffer for the whole file, not a new bytes per read
     view = memoryview(block)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(block):

@@ -1,4 +1,4 @@
-"""``ingest``'s units of work: the split of its inputs, one process per CPU, and the join.
+"""``ingest``'s units of work: the split of its inputs, one process per unit, and the join.
 
 Only ``cli.cmd_ingest`` imports this module, so ``map`` and ``report`` never
 compile it.
@@ -11,7 +11,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, NoReturn, TextIO
+from typing import Callable, NoReturn
 
 from . import ingest as ing
 from . import store
@@ -115,98 +115,77 @@ def _unit_path(stage: store.Workspace, kind: str, unit: tuple[str, int]) -> Path
 
 
 def _units(inputs: dict[str, Path], cpus: int) -> dict[tuple[str, int], tuple]:
-    """Split the inputs into ``(flag, part)`` units, in input order: each one's worker, path
-    and ``row_range``.
+    """Split the inputs into ``(flag, part)`` units: each one's path and ``row_range``.
 
-    On one CPU each input is one unit. On more, each of at most ``cpus``
-    workers gets an equal share of all the input bytes. The inputs that
-    cannot be split come first, whole: the CVE dump, a gzip file, which
-    every part would decompress from its start, and a CSV whose
-    ``_HEAD_BYTES`` head ends no line. Then each CSV is cut at the data row
-    where a worker's share ends, estimated from the bytes per line of its
-    head; the last worker takes all that is left. A part is data rows
-    ``[start, end)``, the input's last part to the end of the file.
+    A CSV input gets as many parts P as its share of all the input bytes is
+    of the CPUs. Part i is data rows [i*K, (i+1)*K), the last to the end,
+    with K the data rows over P estimated from the file's ``_HEAD_BYTES``.
+    The CVE dump is one part; so is a gzip file, which every part would
+    decompress from its start, and a CSV whose head ends no line.
     """
-    if cpus == 1:
-        return {(flag, 0): (0, path, (0, None)) for flag, path in inputs.items()}
     sizes = {flag: path.stat().st_size for flag, path in inputs.items()}
-    share = sum(sizes.values()) / cpus
-    line_bytes = {}  # of the CSVs that can be split
-    for flag, path in inputs.items():
-        if flag == "cves":
-            continue
-        try:
-            with open(path, "rb") as fh:
-                head = fh.read(_HEAD_BYTES)
-        except OSError:  # one unit, whose process reports the error in input order
-            continue
-        lines = head.count(b"\n")  # the header and data rows, if no field holds a newline
-        if lines and not head.startswith(ing._GZIP_MAGIC):
-            line_bytes[flag] = len(head) / lines
+    total = sum(sizes.values()) or 1
     units = {}
-    worker, load = 0, 0.0  # the worker being filled, and its bytes so far
-    for flag in sorted(inputs, key=line_bytes.__contains__):  # stable: the whole inputs first
-        part, start, done = 0, 0, 0.0  # done: the bytes of the header and rows [0, start)
-        while flag in line_bytes and worker < cpus - 1 and sizes[flag] - done > share - load:
-            # The data row at which this worker's share ends; an empty worker takes one at least.
-            end = max(round((done + share - load) / line_bytes[flag]) - 1, start + (not load))
-            if end > start:
-                units[flag, part] = (worker, inputs[flag], (start, end))
-                part, start, done = part + 1, end, (end + 1) * line_bytes[flag]
-            worker, load = worker + 1, 0.0
-        units[flag, part] = (worker, inputs[flag], (start, None))
-        load += sizes[flag] - done
-        if load >= share and worker < cpus - 1:  # a whole input can fill a share, or overfill it
-            worker, load = worker + 1, 0.0
-    order = list(inputs)
-    return dict(sorted(units.items(), key=lambda item: (order.index(item[0][0]), item[0][1])))
+    for flag, path in inputs.items():
+        parts = 1 if flag == "cves" else round(cpus * sizes[flag] / total)
+        head = b""
+        if parts > 1:
+            try:
+                with open(path, "rb") as fh:
+                    head = fh.read(_HEAD_BYTES)
+            except OSError as exc:
+                raise CommandError(f"cannot read input: {exc}") from None
+        lines = head.count(b"\n")  # the header and data rows, if no field holds a newline
+        if head.startswith(ing._GZIP_MAGIC) or not lines:
+            units[flag, 0] = (path, (0, None))
+            continue
+        k = (sizes[flag] * lines // len(head) - 1) // parts
+        units.update(((flag, i), (path, (i * k, (i + 1) * k if i < parts - 1 else None)))
+                     for i in range(parts))
+    return units
 
 
 def _each_input(stage_one: Callable[..., dict], units: dict[tuple, tuple],
                 cpus: list[int]) -> dict:
-    """Call ``stage_one(unit, path, row_range)`` on each unit; return the answers by unit.
+    """Call ``stage_one(unit, *args)`` on each unit; return its answers by unit, in order.
 
-    A unit is ``(flag, part)``. On one CPU the calls run here, one after
-    another. On more, each worker of ``units`` is a forked child placed on
-    its own CPU of ``cpus``: it runs its units in order and answers each with
-    one JSON line on a pipe. Either way the error of the first unit that
-    fails, in order, is raised; a child that ends without answering is
-    blamed on the input of its first unanswered unit. Every child is reaped
-    before this returns or raises; those still running then are killed first.
+    A unit is ``(flag, part)``. On more than one of ``cpus``, each call runs
+    in a forked child that answers with one JSON line on a pipe, unit i
+    placed on ``cpus[i % len(cpus)]``; on one, the calls run here, one after
+    another. Either way the error of the first unit that fails, in order, is
+    raised. Every child is reaped before this returns or raises; those still
+    running then are killed first.
     """
     if len(cpus) == 1:
-        return {unit: stage_one(unit, path, rows) for unit, (_, path, rows) in units.items()}
-    work: dict[int, list] = {}
-    for unit, (worker, path, rows) in units.items():
-        work.setdefault(worker, []).append((unit, path, rows))
-    pids: dict[int, int] = {}  # the children not yet reaped, by worker
-    pipes: dict[int, TextIO] = {}  # the read ends not yet closed, by worker
+        return {unit: stage_one(unit, *args) for unit, args in units.items()}
+    pids: dict[tuple, int] = {}  # the children not yet reaped
+    pipes: dict[tuple, int] = {}  # the read ends not yet read
     parent = os.getpid()
     try:
-        for worker, its_units in work.items():
+        for i, (unit, args) in enumerate(units.items()):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(parent, write_end, cpus[worker], cpus, stage_one, its_units)
+                _answer_and_exit(parent, write_end, cpus[i % len(cpus)], cpus,
+                                 stage_one, unit, *args)
             os.close(write_end)
-            pids[worker], pipes[worker] = pid, open(read_end, encoding="utf-8")
+            pids[unit], pipes[unit] = pid, read_end
         answers = {}
-        for unit, (worker, *_) in units.items():
-            line = pipes[worker].readline()
-            if not line.endswith("\n"):  # killed before it answered, or while it did
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(worker), 0)[1])
+        for unit in units:
+            with open(pipes.pop(unit), encoding="utf-8") as fh:
+                line = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(unit), 0)[1])
+            if not line:
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise CommandError(f"the process reading --{unit[0]} input ended without an "
                                    f"answer ({how})")
             answers[unit] = json.loads(line)
             if "error" in answers[unit]:
                 raise CommandError(answers[unit]["error"])
-        for worker in work:
-            os.waitpid(pids.pop(worker), 0)
         return answers
     finally:
-        for fh in pipes.values():
-            fh.close()
+        for fd in pipes.values():
+            os.close(fd)
         if pids:
             import signal  # only here: building its enums would slow every command's start
 
@@ -215,15 +194,14 @@ def _each_input(stage_one: Callable[..., dict], units: dict[tuple, tuple],
                 os.waitpid(pid, 0)
 
 
-def _work(parent: int, write_end: int, cpu: int, cpus: list[int],
-          stage_one: Callable[..., dict], units: list[tuple]) -> NoReturn:
-    """In a forked child: start on ``cpu``, call ``stage_one`` on each unit, answer each; exit.
+def _answer_and_exit(parent: int, write_end: int, cpu: int, cpus: list[int],
+                     call: Callable[..., dict], *args) -> NoReturn:
+    """In a forked child: start on ``cpu``, then write what ``call(*args)`` returns, or its
+    error, as one JSON line; exit.
 
-    Each answer, or error, is one JSON line, written as its unit finishes;
-    the first error ends the run, as the units come in input order. The child
-    never returns into the parent's code, so no context manager or exit
-    handler of the parent's runs twice. Once ``parent`` is gone it exits
-    within 0.1 s, so no orphan keeps the inherited workspace lock.
+    The child never returns into the parent's code, so no context manager or
+    exit handler of the parent's runs twice. Once ``parent`` is gone it
+    exits within 0.1 s, so no orphan keeps the inherited workspace lock.
     """
     code = EXIT_ERROR
     try:
@@ -232,22 +210,18 @@ def _work(parent: int, write_end: int, cpu: int, cpus: list[int],
         signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(EXIT_ERROR))
         signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
         # A forked child starts on its parent's CPU, and the scheduler may
-        # leave it there: placed on a CPU of its own, then let run anywhere.
+        # leave it there: placed on ``cpu``, then let run on any of ``cpus``.
         for allowed in ([cpu], cpus):
             try:
                 os.sched_setaffinity(0, allowed)
             except OSError:  # a CPU the machine lacks: placing is best effort
                 pass
+        try:
+            answer = call(*args)
+        except (CommandError, OSError) as exc:
+            answer = {"error": str(exc)}
         with open(write_end, "w", encoding="utf-8") as fh:
-            for unit, path, rows in units:
-                try:
-                    answer = stage_one(unit, path, rows)
-                except (CommandError, OSError) as exc:
-                    answer = {"error": str(exc)}
-                fh.write(json.dumps(answer) + "\n")
-                fh.flush()
-                if "error" in answer:
-                    break
+            fh.write(json.dumps(answer) + "\n")
         code = EXIT_OK
     except Exception:  # a fault, not an input error: its traceback, and no answer
         sys.excepthook(*sys.exc_info())

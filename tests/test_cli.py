@@ -146,8 +146,7 @@ def test_parallel_ingest_writes_what_one_cpu_writes(tmp_path, capsys, monkeypatc
         ws = tmp_path / f"ws_{cpus}"
         code, out, err = ingest(capsys, ws, *args)
         assert code == 0, err
-        # The CVE dump is over half the bytes: one worker; the two CSVs, the other.
-        assert len(forks) == (2 if cpus > 1 else 0)  # one CPU: read here, os.fork never called
+        assert len(forks) == (3 if cpus > 1 else 0)  # one CPU: read here, os.fork never called
         written[cpus] = (out.replace(str(ws), "WS"), workspace_bytes(ws))
     assert written[2] == written[1]
     summary, files = json.loads(written[2][0]), written[2][1]
@@ -203,14 +202,14 @@ SPLIT_CASES = {
 
 def _force_split(monkeypatch, parts: int, k: int, min_cpus: int = 2) -> None:
     """On ``min_cpus`` or more CPUs, split each CSV input into ``parts`` ranges of ``k`` data
-    rows, the last to the end, whatever the inputs' sizes. Part i runs in worker i mod CPUs."""
+    rows, the last to the end, whatever the inputs' sizes."""
     real = units._units
 
     def split(inputs, cpus):
         if cpus < min_cpus:
             return real(inputs, cpus)
         count = {flag: parts if flag != "cves" else 1 for flag in inputs}
-        return {(flag, i): (i % cpus, path, (k * i, k * (i + 1) if i < count[flag] - 1 else None))
+        return {(flag, i): (path, (k * i, k * (i + 1) if i < count[flag] - 1 else None))
                 for flag, path in inputs.items() for i in range(count[flag])}
 
     monkeypatch.setattr(units, "_units", split)
@@ -228,7 +227,7 @@ def test_split_csv_inputs_write_what_one_cpu_writes(tmp_path, capsys, monkeypatc
         forks = _cpus(monkeypatch, cpus)
         ws = tmp_path / f"ws_{cpus}"
         code, out, err = ingest(capsys, ws, *args)
-        assert len(forks) == (3 if cpus > 1 else 0)  # a worker per CPU, with a part of each CSV
+        assert len(forks) == (7 if cpus > 1 else 0)  # three parts of each CSV, one of the CVEs
         _no_child_left()
         written[cpus] = (code, out.replace(str(ws), "WS"), err, workspace_bytes(ws))
     assert written[3] == written[1]
@@ -277,7 +276,7 @@ def test_versions_table_counts_what_load_versions_yields(tmp_path, capsys, monke
         ws = tmp_path / f"ws_{cpus}"
         code, out, err = ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))
         assert code == 0, err
-        assert len(forks) == (3 if cpus > 1 else 0)
+        assert len(forks) == (7 if cpus > 1 else 0)
         cells = [json.loads(line) for line in (ws / "versions.ndjson").read_text().splitlines()]
         assert cells == sorted(cells)  # one row per cell, in order
         assert {(platform, year): count for platform, year, count in cells} == oracle
@@ -320,67 +319,37 @@ def test_split_rule_gives_csv_inputs_their_share_of_the_cpus(tmp_path):
     small, gz = tmp_path / "small.csv", tmp_path / "big.csv.gz"
     small.write_text(VERSIONS_CSV, encoding="utf-8")
     gz.write_bytes(gzip.compress(big.read_bytes(), mtime=0))
-    cves, unended = tmp_path / "cves.ndjson", tmp_path / "unended.csv"
+    cves = tmp_path / "cves.ndjson"
     cves.write_bytes(b" " * big.stat().st_size)
-    unended.write_bytes(b"x" * 70_000)  # no line end in its first 64 KiB
 
-    def line(path) -> float:
-        """The bytes of one of ``path``'s rows, as the split estimates them from its head."""
-        head = path.read_bytes()[:1 << 16]
-        return len(head) / max(head.count(b"\n"), 1)
+    def split(inputs, cpus) -> dict[str, list]:
+        """Each input's row ranges, once the units are checked to come in input order."""
+        ranges = {flag: [] for flag in inputs}
+        for (flag, i), (path, rows) in units._units(inputs, cpus).items():
+            assert path == inputs[flag] and i == len(ranges[flag])
+            assert not any(ranges[later] for later in list(inputs)[list(inputs).index(flag) + 1:])
+            ranges[flag].append(rows)
+        return ranges
 
-    def split(inputs, cpus) -> tuple[dict, list]:
-        """The units, and each worker's bytes as the split estimates them, once the units are
-        checked: in input order, each input's ranges contiguous from row 0 to its end, and
-        at most ``cpus`` workers."""
-        units_ = units._units(inputs, cpus)
-        order = list(inputs)
-        assert list(units_) == sorted(units_, key=lambda unit: (order.index(unit[0]), unit[1]))
-        loads = Counter()
-        for flag, path in inputs.items():
-            parts = [units_[unit] for unit in units_ if unit[0] == flag]
-            assert [unit for unit in units_ if unit[0] == flag] == [
-                (flag, i) for i in range(len(parts))]
-            ranges = [rows for _, at, rows in parts if at == path]
-            assert len(ranges) == len(parts) and ranges[0][0] == 0 and ranges[-1][1] is None
-            assert all(a[0] < a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    def k(ranges) -> int:
+        """The rows per part of contiguous ranges from row 0 to the end."""
+        k = ranges[0][1]
+        assert ranges == [(i * k, (i + 1) * k) for i in range(len(ranges) - 1)] + [
+            ((len(ranges) - 1) * k, None)]
+        return k
 
-            def at(row, size=path.stat().st_size, line=line(path)):
-                return size if row is None else (row + 1) * line if row else 0
-
-            for worker, _, (start, end) in parts:
-                loads[worker] += at(end) - at(start)
-        assert sorted(loads) == list(range(len(loads))) and len(loads) <= cpus
-        return units_, [loads[worker] for worker in sorted(loads)]
-
-    # All of the bytes in one CSV: a part per CPU, each within a row of a third.
-    units_, loads = split({"packages": big}, 3)
-    assert len(units_) == len(loads) == 3
-    assert all(abs(load - big.stat().st_size / 3) < line(big) for load in loads)
-    # The CVE dump, gzip and a CSV whose head ends no line are whole, and come first:
-    # they fill the first workers, and the CSVs' rows the rest.
-    inputs = {"packages": big, "versions": big, "cves": small}
-    units_, loads = split(inputs, 4)
-    share = sum(path.stat().st_size for path in inputs.values()) / 4
-    assert units_["cves", 0] == (0, small, (0, None))
-    assert len(loads) == 4 and all(abs(load - share) < line(big) for load in loads[:-1])
-    for whole in gz, unended:
-        inputs = {"packages": whole, "versions": big, "cves": small}
-        units_, loads = split(inputs, 3)
-        share = sum(path.stat().st_size for path in inputs.values()) / 3
-        assert units_["packages", 0] == (0, whole, (0, None)) and ("packages", 1) not in units_
-        assert len(loads) == 3 and all(abs(load - share) < line(big) for load in loads[:-1])
-    # More whole bytes than a share: the CVE dump's worker holds nothing else, and the
-    # workers after it each take a share, the last what is left.
-    units_, loads = split({"packages": big, "versions": small, "cves": cves}, 4)
-    share = (2 * big.stat().st_size + small.stat().st_size) / 4
-    assert [unit for unit, (worker, *_) in units_.items() if not worker] == [("cves", 0)]
-    assert len(loads) == 4 and loads[0] == cves.stat().st_size
-    assert all(abs(load - share) < line(big) for load in loads[1:-1])
-    # One CPU: each input whole, here.
-    assert units._units({"packages": big, "versions": small, "cves": cves}, 1) == {
-        ("packages", 0): (0, big, (0, None)), ("versions", 0): (0, small, (0, None)),
-        ("cves", 0): (0, cves, (0, None))}
+    # All of the bytes: every CPU. The estimate of K is within 1% of 10 000 / 3.
+    packages = split({"packages": big}, 3)["packages"]
+    assert len(packages) == 3 and abs(k(packages) - 10_000 / 3) < 34
+    # Half the bytes: half the CPUs. Too small a share, the CVE dump, and gzip
+    # with all of the bytes: one part.
+    ranges = split({"packages": big, "versions": small, "cves": cves}, 4)
+    assert len(ranges["packages"]) == 2 and abs(k(ranges["packages"]) - 5000) < 50
+    assert ranges["versions"] == ranges["cves"] == [(0, None)]
+    assert split({"packages": small, "cves": cves}, 4)["cves"] == [(0, None)]
+    assert split({"packages": gz}, 4) == {"packages": [(0, None)]}
+    assert split({"packages": big, "versions": big}, 1) == {
+        "packages": [(0, None)], "versions": [(0, None)]}
 
 
 @pytest.mark.parametrize("cpus", [2, 1])
@@ -418,7 +387,7 @@ def test_killed_input_process_exits_1_naming_its_input(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(vulnmap.ingest, "load_cves", killed)
     code, out, err = ingest(capsys, ws, *_with_rejects(tmp_path))
-    assert len(forks) == 2  # the CVEs in one worker; the packages and versions in the other
+    assert len(forks) == 3
     assert code == 1 and out == ""
     assert err == ("vulnmap: error: the process reading --cves input ended without an "
                    f"answer (killed by signal {int(signal.SIGKILL)})\n")
@@ -442,7 +411,7 @@ def test_killed_part_process_exits_1_naming_its_input(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(vulnmap.ingest, "load_packages", killed_after_row_50)
     code, out, err = ingest(capsys, ws, *_with_rejects(tmp_path))
-    assert len(forks) == 2  # part 0 of each input in one worker, part 1 of each CSV in the other
+    assert len(forks) == 5  # two parts of each CSV input, one of the CVEs
     assert code == 1 and out == ""
     assert err == ("vulnmap: error: the process reading --packages input ended without an "
                    f"answer (killed by signal {int(signal.SIGKILL)})\n")
@@ -451,48 +420,26 @@ def test_killed_part_process_exits_1_naming_its_input(tmp_path, capsys, monkeypa
     _no_child_left()
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
-def test_first_failure_in_input_order_is_printed_when_a_later_one_fails_first(
-        tmp_path, capsys, monkeypatch, cpus):
-    ws = tmp_path / "ws"
-    assert ingest(capsys, ws)[0] == 0
-    before = workspace_bytes(ws)
-    forks = _cpus(monkeypatch, cpus)
-    _force_split(monkeypatch, 2, 50)  # two CPUs: packages part 0 in one worker, part 1 in the other
-    failed = tmp_path / "failed"
-
-    def fail(*args, row_range, **kwargs):
-        """Part 1 fails at once; part 0 fails once part 1 has, or after 10 s."""
-        deadline = time.monotonic() + 10
-        while cpus > 1 and not row_range[0] and not failed.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        with open(failed, "a", encoding="utf-8") as fh:
-            fh.write(f"{row_range[0]}\n")
-        raise OSError(f"part from row {row_range[0]}")
-
-    monkeypatch.setattr(vulnmap.ingest, "load_packages", fail)
-    code, out, err = ingest(capsys, ws, *_with_rejects(tmp_path))
-    assert len(forks) == (2 if cpus > 1 else 0)
-    assert failed.read_text(encoding="utf-8").split() == (["50", "0"] if cpus > 1 else ["0"])
-    assert (code, out) == (1, "")
-    assert err == "vulnmap: error: cannot read input: part from row 0\n"
-    assert workspace_bytes(ws) == before
-    _no_child_left()
-
-
-def test_workers_start_on_distinct_cpus_then_run_on_all(tmp_path, capsys, monkeypatch):
-    """Each worker is placed on its own CPU of the allowed set, then let run on all of it."""
-    calls, set_affinity = tmp_path / "calls", os.sched_setaffinity
+def test_input_processes_start_on_the_cpus_in_turn_then_run_on_all(tmp_path, capsys,
+                                                                   monkeypatch):
+    """Unit i is placed on CPU i mod the allowed set's size, then let run on all of it."""
+    calls, set_affinity, fork, children = tmp_path / "calls", os.sched_setaffinity, os.fork, []
 
     def record(pid, mask):
-        """Called in the workers, so each call is kept in a file."""
+        """Called in the children, so each call is kept in a file."""
         with open(calls, "a", encoding="utf-8") as fh:
             fh.write(json.dumps([os.getpid(), pid, sorted(mask)]) + "\n")
-        set_affinity(pid, mask)  # fails on a CPU the machine lacks: the worker goes on
+        set_affinity(pid, mask)  # fails on a CPU the machine lacks: the child goes on
+
+    def fork_in_order():
+        children.append(fork())  # the parent's list holds the children's pids, in order
+        return children[-1]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 2, 5})
     monkeypatch.setattr(os, "sched_setaffinity", record)
-    packages = tmp_path / "packages.csv"  # most of the bytes: a part in each of three workers
+    monkeypatch.setattr(os, "fork", fork_in_order)
+    _force_split(monkeypatch, 3, 200)  # three parts of the packages, then the CVEs
+    packages = tmp_path / "packages.csv"
     packages.write_text(PACKAGES_HEADER + _package_rows(600), encoding="utf-8", newline="")
     code, _, err = ingest(capsys, tmp_path / "ws", str(packages))
     assert code == 0, err
@@ -500,11 +447,11 @@ def test_workers_start_on_distinct_cpus_then_run_on_all(tmp_path, capsys, monkey
     for pid, target, mask in map(json.loads, calls.read_text(encoding="utf-8").splitlines()):
         assert target == 0 and pid != os.getpid()  # the parent stays where it is
         masks.setdefault(pid, []).append(mask)
-    assert sorted(masks.values()) == [[[2], [2, 5, 7]], [[5], [2, 5, 7]], [[7], [2, 5, 7]]]
+    assert [masks[pid] for pid in children] == [[[cpu], [2, 5, 7]] for cpu in (2, 5, 7, 2)]
 
 
 def test_cpus_the_machine_lacks_write_what_one_cpu_writes(tmp_path, capsys, monkeypatch):
-    """Placing a worker on a CPU that is not there fails, and the worker runs where it is."""
+    """Placing a process on a CPU that is not there fails, and the process runs where it is."""
     packages = tmp_path / "packages.csv"
     packages.write_text(PACKAGES_HEADER + _package_rows(600), encoding="utf-8", newline="")
     args = (str(packages), *_with_rejects(tmp_path)[1:])
@@ -514,7 +461,8 @@ def test_cpus_the_machine_lacks_write_what_one_cpu_writes(tmp_path, capsys, monk
         ws = tmp_path / f"ws_{len(cpus)}"
         code, out, err = ingest(capsys, ws, *args)
         assert code == 0, err
-        assert len(forks) == (3 if len(cpus) > 1 else 0)
+        # Two parts of the packages, the versions and the CVEs: placed on CPUs 0, 4096, 4097, 0.
+        assert len(forks) == (4 if len(cpus) > 1 else 0)
         written[len(cpus)] = (out.replace(str(ws), "WS"), err, workspace_bytes(ws))
     assert written[3] == written[1]
 

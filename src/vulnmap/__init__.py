@@ -15,12 +15,12 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "cpe": ("CpeRecord", "MalformedCpe", "Part", "normalize_component", "parse_cpe23"),
     "fuzzy": ("EmptyInput", "GramProfile", "best_match", "gram_profile", "similarity"),
     "records": (
-        "CveCpe", "CveRecord", "PackageRecord", "VersionCount", "VersionRecord",
-        "Evidence", "MappingResult", "Strategy",
+        "CveCpe", "CveRecord", "PackageRecord", "VersionCount", "Evidence", "MappingResult",
+        "Strategy",
     ),
     "ingest": (
-        "CsvStructure", "JsonStructure", "count_versions", "extract_repo_link",
-        "load_cves", "load_packages", "load_versions",
+        "CsvStructure", "JsonStructure", "extract_repo_link", "load_cves", "load_packages",
+        "load_versions",
     ),
     "lookup": ("PlatformLookup", "default_lookup_config", "load_lookup_config"),
     "match": (

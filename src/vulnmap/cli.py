@@ -225,20 +225,16 @@ def cmd_map(args: argparse.Namespace, workspace: store.Workspace) -> dict:
             go_last_segment=args.go_last_segment,
         )
         outcome.tallies["malformed_cpes"] = summary.get("malformed_cpes", 0)
-        # The counts of the mapping files this run leaves as they are.
-        rows = {
-            key: count for key, count in workspace.read_manifest().items()
-            if key not in outcome.results and workspace.mappings_path(key).exists()
-        }
         # Mapping files are written to .staging and moved in only once all are
-        # written, the manifest of their row counts last.
+        # written, the manifest of their checksums last.
         with workspace.staging() as stage:
-            for strategy_key, results in outcome.results.items():
-                rows[strategy_key] = stage.write_ndjson(
-                    stage.mappings_path(strategy_key),
-                    (store.mapping_to_dict(r) for r in results),
+            rows = {
+                key: stage.write_ndjson(
+                    stage.mappings_path(key), (store.mapping_to_dict(r) for r in results)
                 )
-            stage.write_manifest(rows)
+                for key, results in outcome.results.items()
+            }
+            stage.write_manifest(rows, workspace)
     return {
         "tallies": outcome.tallies,
         "results": {k: len(v) for k, v in outcome.results.items()},

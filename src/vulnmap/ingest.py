@@ -7,7 +7,7 @@ import gzip
 import json
 import re
 import zlib
-from collections import Counter, deque
+from collections import deque
 from datetime import date
 from itertools import islice
 from pathlib import Path
@@ -15,9 +15,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 from urllib.parse import urlsplit
 
 from .cpe import MalformedCpe, normalize_component, parse_cpe23
-from .records import (
-    _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord, VersionCount, VersionRecord,
-)
+from .records import _READ_CHARS, CVE_ID_RE, CveCpe, CveRecord, PackageRecord
 
 SUPPORTED_PROVIDERS = ("github.com", "bitbucket.org", "gitlab.com")
 
@@ -277,8 +275,9 @@ def load_versions(
     rejects: RejectSink | None = None,
     platform_aliases: dict[str, str] | None = None,
     row_range: tuple[int, int | None] = (0, None),
-) -> Iterator[VersionRecord]:
-    """Stream VersionRecords out of a published-versions CSV's data rows in ``row_range``."""
+) -> Iterator[tuple[str, int]]:
+    """Stream one ``(platform, year published)`` pair per version row in ``row_range`` of a
+    published-versions CSV; ingest keeps only the count of each pair."""
     aliases = {k.lower(): v for k, v in (platform_aliases or {}).items()}
     positions, rows, reject = _read_csv(
         source, DEFAULT_VERSION_COLUMNS, "versions", rejects, row_range=row_range
@@ -289,16 +288,7 @@ def load_versions(
             reject(row_number, "bad_date", row)
             continue
         platform_raw = row[positions["platform"]].strip()
-        yield VersionRecord(
-            row[positions["id"]].strip(), aliases.get(platform_raw.lower(), platform_raw),
-            row[positions["version"]].strip(), published,
-        )
-
-
-def count_versions(versions: Iterable[VersionRecord]) -> list[VersionCount]:
-    """Count the versions per (platform, year published); the cells sorted by both."""
-    counter = Counter((v.platform, v.published.year) for v in versions)
-    return [VersionCount(platform, year, n) for (platform, year), n in sorted(counter.items())]
+        yield aliases.get(platform_raw.lower(), platform_raw), published.year
 
 
 def _iter_json_values(source: Iterable[str]) -> Iterator:

@@ -25,13 +25,6 @@ class PackageRecord(NamedTuple):
     repo_link: str | None = None  # "provider/owner/repository"
 
 
-class VersionRecord(NamedTuple):
-    package_key: str
-    platform: str
-    version_label: str
-    published: date
-
-
 class VersionCount(NamedTuple):
     """The versions of one platform published in one year: a row of ``versions.ndjson``."""
 

@@ -170,8 +170,7 @@ def versions_per_year(cells: Iterable[VersionCount]) -> Report:
     """Published version counts grouped by (platform, year).
 
     ``cells`` are ``(platform, year, count)`` triples, as ``Workspace.load_versions``
-    yields and ``ingest.count_versions`` returns; the counts of a repeated
-    cell add up.
+    yields; the counts of a repeated cell add up.
     """
     counter = Counter()
     for platform, year, count in cells:

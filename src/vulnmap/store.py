@@ -13,20 +13,21 @@ import fcntl
 import json
 import os
 import shutil
+import zlib
 from datetime import date
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .records import (
-    _READ_CHARS, CVE_ID_RE, KEY_STRATEGIES, CveCpe, CveRecord, Evidence, MappingResult,
-    PackageRecord, VersionCount,
+    _READ_CHARS, KEY_STRATEGIES, CveCpe, CveRecord, Evidence, MappingResult, PackageRecord,
+    VersionCount,
 )
 
 LOCK_NAME = ".lock"
 STAGING_NAME = ".staging"
 # Recorded in summary.json; bump it when a store record's fields change.
-STORE_LAYOUT = 4
+STORE_LAYOUT = 5
 # The counts in summary.json: the packages, versions and CVEs ingested, and ingest's tally.
 _SUMMARY_COUNTS = ("packages", "versions", "cves", "malformed_cpes")
 
@@ -98,16 +99,53 @@ def mapping_to_dict(result: MappingResult) -> dict:
     }
 
 
-def sha256_file(path: str | Path) -> str:
-    import hashlib  # only here: it loads OpenSSL, which only ingest's digests need
-
-    digest = hashlib.sha256()
+def _blocks(path: str | Path) -> Iterator[memoryview]:
+    """The bytes of ``path``, 64 KiB at a time, each a view of one buffer that the next refills."""
     block = bytearray(1 << 16)  # one buffer for the whole file, not a new bytes per read
     view = memoryview(block)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(block):
-            digest.update(view[:n])
+            yield view[:n]
+
+
+def sha256_file(path: str | Path) -> str:
+    import hashlib  # only here: it loads OpenSSL, which only ingest's digests need
+
+    digest = hashlib.sha256()
+    for data in _blocks(path):
+        digest.update(data)
     return digest.hexdigest()
+
+
+def _checksum(path: Path) -> dict | None:
+    """The ``{"crc32", "bytes"}`` entry of the file ``path``; None if there is none."""
+    crc = size = 0
+    try:
+        for data in _blocks(path):
+            crc, size = zlib.crc32(data, crc), size + len(data)
+    except FileNotFoundError:
+        return None
+    return {"crc32": crc, "bytes": size}
+
+
+def _checksums(paths: Iterable[Path]) -> dict[str, dict]:
+    """The checksum entry of each of ``paths`` that exists, by file name."""
+    return {path.name: entry for path in paths if (entry := _checksum(path))}
+
+
+def _described(entry: dict | None) -> str:
+    return "no file" if entry is None else f"{entry['bytes']} bytes, crc32 {entry['crc32']}"
+
+
+def _check_entries(doc: dict, key: str) -> None:
+    """Raise unless ``doc[key]``, if there is one, maps file names to checksum entries."""
+    entries = doc.get(key, {})
+    if type(entries) is not dict:
+        raise TypeError(f"{key!r} is {entries!r}, not an object")
+    for name, entry in entries.items():
+        if not (type(entry) is dict and entry.keys() == {"crc32", "bytes"}
+                and all(type(value) is int for value in entry.values())):  # bool is not int
+            raise ValueError(f"{key!r} has {name!r}: {entry!r}, not a crc32 and a size")
 
 
 class Workspace:
@@ -177,7 +215,7 @@ class Workspace:
 
         On a normal exit each staged file replaces the file of the same name
         here with ``os.replace``, ``summary.json`` or ``mappings.json``, the
-        file that holds the others' row counts, last. On an exception the
+        file that holds the others' checksums, last. On an exception the
         staged files are discarded and no file here changes. Call it while
         holding the lock.
         """
@@ -186,8 +224,8 @@ class Workspace:
         stage.ensure()
         try:
             yield stage
-            counts = (stage.summary_path.name, stage.manifest_path.name)
-            for path in sorted(stage.root.iterdir(), key=lambda p: p.name in counts):
+            last = (stage.summary_path.name, stage.manifest_path.name)
+            for path in sorted(stage.root.iterdir(), key=lambda p: p.name in last):
                 os.replace(path, self.root / path.name)
         finally:
             shutil.rmtree(stage.root, ignore_errors=True)
@@ -226,43 +264,41 @@ class Workspace:
     def _rows(self, path: Path) -> Iterator[Iterator]:
         """Yield a stream of the value of each non-blank line of ``path``: the one reader.
 
-        Whole lines of about ``_READ_CHARS`` characters are decoded at a
-        time as one JSON array, so the per-row work runs in C and memory is
-        bounded by one block (or its longest line). A missing file reads as
-        no rows. A row the block cannot rebuild, or a stream that ends with
-        another row count than summary.json records for a store file, or
-        mappings.json for a mapping file (a file with no count there, or
-        beside no summary.json or mappings.json at all, included), raises
-        CorruptStore. summary.json counts versions, not the rows of
-        ``versions.ndjson``: ``load_versions`` checks their sum itself.
+        Before the first row, the file's size and crc32 must be the ones that
+        summary.json records for a store file, or mappings.json for a mapping
+        file, and a mapping file's mappings.json must record the store files
+        that summary.json records; else CorruptStore. A missing file with no
+        entry reads as no rows. Whole lines of about ``_READ_CHARS``
+        characters are decoded at a time as one JSON array, so the per-row
+        work runs in C and memory is bounded by one block (or its longest
+        line).
         """
-        key = path.stem.removeprefix("mappings_")
-        mapping = key in KEY_STRATEGIES
-        counts = self.manifest_path if mapping else self.summary_path
-        if path.exists() and not counts.exists():  # its writer writes both, the counts last
-            raise CorruptStore(
-                path, FileNotFoundError(f"{counts.name} is missing"), "map" if mapping else "ingest"
-            )
-        expected = (self.read_manifest() if mapping else self.read_summary()).get(key)
-        counted = counts.exists() and (mapping or key in ("packages", "cves"))
+        mapping = path.name.startswith("mappings_")
+        index, rerun = (self.manifest_path, "map") if mapping else (self.summary_path, "ingest")
+        if path.exists() and not index.exists():  # its writer writes both, the index last
+            raise CorruptStore(path, FileNotFoundError(f"{index.name} is missing"), rerun)
+        doc = self.read_manifest() if mapping else self.read_summary()
+        recorded, found = doc.get("files", {}).get(path.name), _checksum(path)
+        if found != recorded:
+            raise CorruptStore(path, ValueError(
+                f"{_described(found)}; {index.name} records {_described(recorded)}"), rerun)
+        if found and mapping and doc.get("store", {}) != self.read_summary().get("files", {}):
+            raise CorruptStore(path, ValueError(
+                "mappings.json records the files of another store than summary.json"), rerun)
 
         def blocks() -> Iterator:
-            read = 0
-            if path.exists():
+            if found:
                 with open(path, encoding="utf-8") as fh:
                     while lines := fh.readlines(_READ_CHARS):
                         block = json.loads("[" + ",".join(filter(str.strip, lines)) + "]")
-                        read += len(block)
                         yield from block
                         del block  # not held while the next block is read and decoded
-            if counted and read != expected:
-                raise ValueError(f"{read} rows read, {counts.name} has {expected}")
 
         with contextlib.closing(blocks()) as rows:
             try:
                 yield rows
             except (ValueError, TypeError, KeyError, IndexError) as exc:
-                raise CorruptStore(path, exc) from None
+                raise CorruptStore(path, exc, rerun) from None
 
     # -- typed snapshots --------------------------------------------------
 
@@ -271,58 +307,24 @@ class Workspace:
         shared = {}.setdefault  # one string object per distinct platform and license
         with self._rows(self.packages_path) as rows:
             for key, platform, name, keywords, license, repo_link in rows:
-                # Chained: every type is the next one, and the last is str.
-                if not type(key) is type(platform) is type(name) is type(license) is str:
-                    raise TypeError(f"package {key!r} has a field that is not a string")
-                if type(keywords) is not list:  # tuple() would split a string into letters
-                    raise TypeError(f"package {key} has keywords that are not a list")
-                "".join(keywords)  # a TypeError unless every keyword is a str
-                if repo_link is not None and type(repo_link) is not str:
-                    raise TypeError(f"package {key} has a repo_link that is not a string")
                 yield PackageRecord(
                     key, shared(platform, platform), name, tuple(keywords),
                     shared(license, license), repo_link,
                 )
 
     def load_versions(self) -> Iterator[VersionCount]:
-        """Yield the count of versions per (platform, year), in order of both.
-
-        The counts must sum to the ``versions`` that summary.json records.
-        """
-        expected = self.read_summary().get("versions")
-        total = 0
+        """Yield the count of versions per (platform, year), in order of both."""
         with self._rows(self.versions_path) as rows:
-            for platform, year, count in rows:
-                if type(platform) is not str:
-                    raise TypeError(f"a version count has platform {platform!r}, not a string")
-                if type(year) is not int:  # bool is not int
-                    raise TypeError(f"{platform} has a version count for {year!r}, not a year")
-                if type(count) is not int or count < 1:
-                    raise ValueError(f"{platform} {year} has {count!r} versions, not a count")
-                total += count
-                yield VersionCount(platform, year, count)
-            if self.summary_path.exists() and total != expected:
-                raise ValueError(f"{total} versions counted, summary.json has {expected}")
+            yield from map(VersionCount._make, rows)
 
     def load_cves(self) -> Iterator[CveRecord]:
         """Yield the CVEs one at a time; the only decoder of a ``cves.ndjson`` row."""
         with self._rows(self.cves_path) as rows:
             for cve_id, summary, references, published, cpes in rows:
-                if not CVE_ID_RE.match(cve_id):  # ingest writes no other; .year reads it
-                    raise ValueError(f"bad CVE id {cve_id!r}")
-                if type(summary) is not str:  # the matchers lowercase it
-                    raise TypeError(f"CVE {cve_id} has a summary that is not a string")
-                if type(references) is not list or type(cpes) is not list:  # as keywords are
-                    raise TypeError(f"CVE {cve_id} has references or CPE pairs that are not a list")
-                "".join(references)  # a TypeError unless every reference is a str
-                for pair in cpes:
-                    if type(pair) is not list:  # CveCpe._make("ab") would split a string
-                        raise TypeError(f"CVE {cve_id} has a CPE pair that is not a list")
-                    "".join(pair)  # a TypeError unless both fields are str
                 yield CveRecord(
                     cve_id, summary, tuple(references),
                     None if published is None else date.fromisoformat(published),
-                    tuple(map(CveCpe._make, cpes)),  # a TypeError unless each pair has 2 fields
+                    tuple(map(CveCpe._make, cpes)),
                 )
 
     def load_mappings(self, strategy_key: str) -> Iterator[MappingResult]:
@@ -330,20 +332,10 @@ class Workspace:
         strategy = KEY_STRATEGIES[strategy_key]
         with self._rows(self.mappings_path(strategy_key)) as rows:
             for doc in rows:
-                cve_id, package_key, platform = doc["cve"], doc["package"], doc["platform"]
-                # Chained as in load_packages: the reports hash and sort these.
-                if not type(cve_id) is type(package_key) is type(platform) is str:
-                    raise TypeError(f"mapping of {cve_id!r} has a field that is not a string")
-                if doc["strategy"] != strategy.value:
-                    raise ValueError(f"mapping of {cve_id} has strategy {doc['strategy']!r}")
-                confidence, evidence = doc["confidence"], doc["evidence"]
-                kind, payload = evidence["kind"], evidence["payload"]
-                if not (type(confidence) is float and type(kind) is str and type(payload) is list):
-                    raise TypeError(f"mapping of {cve_id} has a wrong confidence or evidence type")
-                "".join(payload)  # a TypeError unless every payload item is a str
+                evidence = doc["evidence"]
                 yield MappingResult(
-                    strategy, cve_id, package_key, platform, confidence,
-                    Evidence(kind, tuple(payload)),
+                    strategy, doc["cve"], doc["package"], doc["platform"], doc["confidence"],
+                    Evidence(evidence["kind"], tuple(evidence["payload"])),
                 )
 
     def _write_json(self, path: Path, doc: dict) -> None:
@@ -352,27 +344,48 @@ class Workspace:
             fh.write("\n")
 
     def write_summary(self, summary: dict) -> None:
-        self._write_json(self.summary_path, summary)
+        """Write ``summary`` to summary.json, with the checksum of each store file here."""
+        files = _checksums((self.packages_path, self.versions_path, self.cves_path))
+        self._write_json(self.summary_path, {**summary, "files": files})
 
-    def write_manifest(self, rows: dict[str, int]) -> None:
-        """Record the row count of each mapping file, by strategy key, in mappings.json."""
-        self._write_json(self.manifest_path, {"rows": rows})
+    def write_manifest(self, rows: dict[str, int], mapped: Workspace | None = None) -> None:
+        """Write mappings.json: the row count and checksum of each mapping file written
+        here, by strategy key, and the store files' checksums in the summary.json of
+        ``mapped`` (default: this workspace), the store they were mapped from.
 
-    def read_manifest(self) -> dict[str, int]:
-        """The row counts that mappings.json records, by strategy key; {} when there is none."""
+        Each other mapping file of ``mapped`` keeps its count and checksum, if
+        ``mapped``'s mappings.json records the same store.
+        """
+        mapped = mapped or self
+        store, old = mapped.read_summary().get("files", {}), mapped.read_manifest()
+        rows, files = dict(rows), _checksums(map(self.mappings_path, rows))
+        if old.get("store", {}) == store:
+            for key, count in old.get("rows", {}).items():
+                name = self.mappings_path(key).name
+                entry = old.get("files", {}).get(name)
+                if key not in rows and entry and mapped.mappings_path(key).exists():
+                    rows[key], files[name] = count, entry
+        self._write_json(self.manifest_path, {"rows": rows, "files": files, "store": store})
+
+    def read_manifest(self) -> dict:
+        """mappings.json: the row count (``rows``) and checksum (``files``) of each mapping
+        file, and the store files' checksums (``store``) it was mapped from; {} if none."""
         if not self.manifest_path.exists():
             return {}
         with open(self.manifest_path, encoding="utf-8") as fh:
             try:
-                rows = json.load(fh)["rows"]  # a TypeError if the document is not an object
+                manifest = json.load(fh)
+                rows = manifest["rows"]  # a TypeError if the document is not an object
                 if type(rows) is not dict:
                     raise TypeError(f"'rows' is {rows!r}, not an object")
                 for key, value in rows.items():
                     if type(value) is not int or value < 0:  # bool is not int
                         raise ValueError(f"{key!r} is {value!r}, not a count")
+                _check_entries(manifest, "files")
+                _check_entries(manifest, "store")
             except (ValueError, TypeError, KeyError) as exc:
                 raise CorruptStore(self.manifest_path, exc) from None
-        return rows
+        return manifest
 
     def read_summary(self) -> dict:
         if not self.summary_path.exists():
@@ -390,6 +403,7 @@ class Workspace:
                     raise TypeError(f"'inputs' is {summary['inputs']!r}, not an object")
                 if type(summary.get("store_layout", 0)) is not int:  # 3.0 == 3, True == 1
                     raise TypeError(f"'store_layout' is {summary['store_layout']!r}, not an integer")
+                _check_entries(summary, "files")
             except (ValueError, TypeError) as exc:
                 raise CorruptStore(self.summary_path, exc) from None
         return summary

@@ -45,10 +45,7 @@ def stage_inputs(inputs: dict[str, Path], stage: store.Workspace, cpus: list[int
             rows = _unit_path(stage, "rows", (flag, part))
             store._append(getattr(stage, f"{flag}_path"), [rows])
     # One row per (platform, year), in order: the bytes do not depend on the parts.
-    stage.write_ndjson(stage.versions_path, (
-        ing.VersionCount(platform, year, count)
-        for (platform, year), count in sorted(versions.items())
-    ))
+    stage.write_ndjson(stage.versions_path, ((*cell, n) for cell, n in sorted(versions.items())))
     rejects = {flag: a["rejects"] for flag, a in by_flag.items() if a["rejects"]}
     return {
         "packages": by_flag["packages"]["rows"],
@@ -91,8 +88,8 @@ def _stage_input(unit: tuple[str, int], path: Path, row_range: tuple[int, int | 
                     records = load(src, rejects=reject, platform_aliases=aliases,
                                    row_range=row_range)
                 if flag == "versions":
-                    cells = ing.count_versions(records)
-                    answer = {"rows": sum(cell.count for cell in cells), "cells": cells}
+                    cells = Counter(records)
+                    answer = {"rows": cells.total(), "cells": [[*c, n] for c, n in cells.items()]}
                 else:
                     target = (_unit_path(stage, "rows", unit) if part
                               else getattr(stage, f"{flag}_path"))

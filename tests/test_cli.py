@@ -13,6 +13,7 @@ import sys
 import time
 import traceback
 import tracemalloc
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -266,7 +267,7 @@ def test_versions_table_counts_what_load_versions_yields(tmp_path, capsys, monke
     versions.write_text("".join(rows), encoding="utf-8")
     with vulnmap.ingest.open_text_auto(versions) as fh:
         bad = []
-        oracle = Counter((v.platform, v.published.year) for v in vulnmap.ingest.load_versions(
+        oracle = Counter(vulnmap.ingest.load_versions(
             fh, rejects=bad.append, platform_aliases={"Rubygems": "Ruby"}))
     assert bad and {r["reason"] for r in bad} == {"bad_date"}
     _force_split(monkeypatch, 3, 100)
@@ -503,8 +504,8 @@ def test_killed_ingest_stops_its_input_processes(tmp_path, capsys):
     # Two CPUs whatever this machine has, so that ingest forks, and a versions
     # unit slowed to 50 ms a row: left to itself it would hold the lock for 30 s.
     script = ("import os, sys, time; os.sched_getaffinity = lambda pid: {0, 1}; "
-              "from vulnmap import ingest; count = ingest.count_versions; "
-              "ingest.count_versions = lambda rows: count(r for r in rows if not time.sleep(0.05)); "
+              "from vulnmap import ingest; load = ingest.load_versions; ingest.load_versions = "
+              "lambda *a, **k: (r for r in load(*a, **k) if not time.sleep(0.05)); "
               "from vulnmap.cli import main; sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(Path(vulnmap.__file__).parents[1])}
     proc = subprocess.Popen(
@@ -651,9 +652,53 @@ def test_reingest_drops_the_previous_mappings(tmp_path, capsys):
     assert "vulnmap map" in err
 
 
+def test_mappings_of_another_store_are_refused(tmp_path, capsys):
+    """Mapping files of an earlier store, as a kill between ingest's move of a new store into
+    place and its removal of the old mappings leaves them, are refused until map runs again."""
+    ws = tmp_path / "ws"
+    assert ingest(capsys, ws)[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    saved = {p.name: p.read_bytes() for p in ws.glob("mappings*")}
+    code, _, _ = ingest(
+        capsys, ws, str(FIXTURES / "packages_oracle.csv"), str(FIXTURES / "cves_oracle.ndjson")
+    )
+    assert code == 0
+    for name, data in saved.items():
+        (ws / name).write_bytes(data)
+    before = workspace_bytes(ws)
+    code, out, err = run(capsys, "report", "--workspace", str(ws))
+    assert code == 1 and out == ""
+    assert err == (
+        f"vulnmap: error: corrupt store file {ws / 'mappings_strict.ndjson'}: ValueError: "
+        "mappings.json records the files of another store than summary.json; "
+        "run 'vulnmap map' again\n"
+    )
+    assert workspace_bytes(ws) == before
+    # A map of one strategy keeps no entry of the other strategies' old files.
+    assert run(capsys, "map", "--workspace", str(ws), "--strategy", "strict")[0] == 0
+    fuzzy = ws / "mappings_fuzzy.ndjson"
+    code, out, err = run(capsys, "report", "--workspace", str(ws))
+    assert code == 1 and out == ""
+    assert err == (
+        f"vulnmap: error: corrupt store file {fuzzy}: ValueError: {fuzzy.stat().st_size} bytes, "
+        f"crc32 {zlib.crc32(fuzzy.read_bytes())}; mappings.json records no file; "
+        "run 'vulnmap map' again\n"
+    )
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    assert run(capsys, "report", "--workspace", str(ws))[0] == 0
+
+
 def _line_counts(ws: Path) -> dict[str, int]:
     return {path.stem.removeprefix("mappings_"): len(path.read_bytes().splitlines())
             for path in ws.glob("mappings_*.ndjson")}
+
+
+def _manifest_of(ws: Path) -> dict:
+    """The mappings.json that the mapping files and summary.json of ``ws`` call for."""
+    files = {path.name: {"crc32": zlib.crc32(path.read_bytes()), "bytes": path.stat().st_size}
+             for path in ws.glob("mappings_*.ndjson")}
+    store_files = json.loads((ws / "summary.json").read_text(encoding="utf-8"))["files"]
+    return {"rows": _line_counts(ws), "files": files, "store": store_files}
 
 
 def test_mapping_manifest_counts_every_mapping_file(tmp_path, capsys):
@@ -661,9 +706,9 @@ def test_mapping_manifest_counts_every_mapping_file(tmp_path, capsys):
     assert ingest(capsys, ws)[0] == 0
     assert run(capsys, "map", "--workspace", str(ws), "--strategy", "strict")[0] == 0
     manifest = ws / "mappings.json"
-    assert json.loads(manifest.read_text(encoding="utf-8")) == {"rows": _line_counts(ws)}
+    assert json.loads(manifest.read_text(encoding="utf-8")) == _manifest_of(ws)
     assert run(capsys, "map", "--workspace", str(ws))[0] == 0
-    # A run of one strategy writes only its own file and keeps the counts of the others.
+    # A run of one strategy writes only its own file and keeps the entries of the others.
     others = {p.name: p.read_bytes() for p in ws.glob("mappings_*.ndjson")
               if p.name != "mappings_repository_first.ndjson"}
     assert len(others) == 3
@@ -671,20 +716,23 @@ def test_mapping_manifest_counts_every_mapping_file(tmp_path, capsys):
     assert {name: (ws / name).read_bytes() for name in others} == others
     counts = _line_counts(ws)
     assert sorted(counts) == sorted(cli.STRATEGY_KEYS)
-    assert json.loads(manifest.read_text(encoding="utf-8")) == {"rows": counts}
+    doc = _manifest_of(ws)
+    assert json.loads(manifest.read_text(encoding="utf-8")) == doc
     assert run(capsys, "report", "--workspace", str(ws))[0] == 0
-    # A mapping file with no count, and a manifest that is not one, are corrupt.
-    no_fuzzy = {key: n for key, n in counts.items() if key != "fuzzy"}
-    for doc, named in (({"rows": no_fuzzy}, "mappings_fuzzy.ndjson"),
-                       ({"rows": {**counts, "strict": -1}}, "mappings.json"),
+    # A mapping file with no checksum, and a manifest that is not one, are corrupt.
+    no_fuzzy = {name: e for name, e in doc["files"].items() if name != "mappings_fuzzy.ndjson"}
+    for bad, named in (({**doc, "files": no_fuzzy}, "mappings_fuzzy.ndjson"),
+                       ({**doc, "rows": {**counts, "strict": -1}}, "mappings.json"),
+                       ({**doc, "files": {"mappings_strict.ndjson": 5}}, "mappings.json"),
+                       ({**doc, "store": {"cves.ndjson": {"crc32": 1}}}, "mappings.json"),
                        ({"rows": [1]}, "mappings.json"), ([], "mappings.json")):
-        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        manifest.write_text(json.dumps(bad), encoding="utf-8")
         before = workspace_bytes(ws)
         code, out, err = run(capsys, "report", "--workspace", str(ws))
         assert code == 1 and out == "", err
         assert err.startswith(f"vulnmap: error: corrupt store file {ws / named}: "), err
         assert workspace_bytes(ws) == before
-    # A deleted manifest does not turn the count check off.
+    # A deleted manifest does not turn the checksum check off.
     manifest.unlink()
     strict = ws / "mappings_strict.ndjson"
     strict.write_bytes(strict.read_bytes().splitlines(keepends=True)[0])
@@ -833,6 +881,14 @@ def _set_first_row_field(field: int | str, value):
     return corrupt
 
 
+def _same_length_summary(data: bytes) -> bytes:
+    """The first CVE's summary replaced by as many "x" as it has characters: rows well typed."""
+    first, rest = data.split(b"\n", 1)
+    row = json.loads(first)
+    row[1] = "x" * len(row[1])
+    return (store._dumps(row) + "\n").encode("utf-8") + rest
+
+
 def _set_first_cpe(value):
     """A corruption that replaces the first CPE pair of the CVE rows."""
     def corrupt(data: bytes) -> bytes:
@@ -879,7 +935,7 @@ CORRUPT_STORES = {
     "package-keywords-string": (
         "packages.ndjson", _set_first_row_field(3, "web"), ("map", "report")
     ),
-    # A versions.ndjson row is [platform, year, count]; the counts sum to summary.json's.
+    # A versions.ndjson row is [platform, year, count].
     "versions-platform-null": ("versions.ndjson", _set_first_row_field(0, None), ("report",)),
     "versions-platform-list": ("versions.ndjson", _set_first_row_field(0, ["NPM"]), ("report",)),
     "versions-year-string": ("versions.ndjson", _set_first_row_field(1, "2015"), ("report",)),
@@ -888,6 +944,9 @@ CORRUPT_STORES = {
     "versions-count-zero": ("versions.ndjson", _set_first_row_field(2, 0), ("report",)),
     "versions-count-negative": ("versions.ndjson", _set_first_row_field(2, -1), ("report",)),
     "versions-counts-over-summary": ("versions.ndjson", _set_first_row_field(2, 2), ("report",)),
+    # Edits that leave every row well typed and every count in place.
+    "versions-year-edited": ("versions.ndjson", _set_first_row_field(1, 2016), ("report",)),
+    "cve-summary-same-length": ("cves.ndjson", _same_length_summary, ("map", "report")),
     "mapping-cve-list": ("mappings_strict.ndjson", _set_first_row_field("cve", ["x"]), ("report",)),
     "mapping-package-list": (
         "mappings_fuzzy.ndjson", _set_first_row_field("package", ["x"]), ("report",)
@@ -928,61 +987,22 @@ def test_corrupt_store_file_exits_1_and_writes_nothing(tmp_path, capsys, case):
     assert run(capsys, "report", "--workspace", str(ws))[0] == 0
     path = ws / name
     path.write_bytes(corrupt(path.read_bytes()))
+    data = path.read_bytes()
+    mapping = name.startswith("mappings_")
+    index, rerun = ("mappings.json", "map") if mapping else ("summary.json", "ingest")
     before = workspace_bytes(ws)
+    recorded = json.loads(before[index])["files"][name]
     for command in commands:
         code, out, err = run(capsys, command, "--workspace", str(ws))
-        assert code == 1
-        assert err.startswith(f"vulnmap: error: corrupt store file {path}: ")
-        assert err.endswith("; run 'vulnmap ingest' again\n")
-        assert "Traceback" not in err and out == ""
+        assert code == 1 and out == ""
+        # Every edit, well typed or not, changes the bytes that the size and crc32 describe.
+        assert err == (
+            f"vulnmap: error: corrupt store file {path}: ValueError: {len(data)} bytes, crc32 "
+            f"{zlib.crc32(data)}; {index} records {recorded['bytes']} bytes, crc32 "
+            f"{recorded['crc32']}; run 'vulnmap {rerun}' again\n"
+        )
         assert workspace_bytes(ws) == before
         assert sorted(p.name for p in ws.iterdir()) == sorted(before)
-        if case == "cpe-row-short":
-            assert "TypeError: Expected 2 arguments, got 1" in err
-        if case.endswith("-cut-at-line"):
-            counts = "mappings.json" if name.startswith("mappings_") else "summary.json"
-            read = "versions counted" if name == "versions.ndjson" else "rows read"
-            assert f"{read}, {counts} has" in err
-    if case == "cpe-pair-three-fields":
-        assert "TypeError: Expected 2 arguments, got 3" in err
-    if case == "cpe-pair-string":
-        assert "has a CPE pair that is not a list" in err
-    if case == "cve-published-empty":
-        assert "ValueError: Invalid isoformat string: ''" in err
-    if case == "cve-id-bad":
-        assert "ValueError: bad CVE id 'CVE-x'" in err
-    if case == "cve-summary-null":
-        assert "has a summary that is not a string" in err
-    if case == "cve-reference-int":
-        assert "TypeError: sequence item 0: expected str instance, int found" in err
-    if case.startswith("package-repo-link-"):
-        assert "has a repo_link that is not a string" in err
-    if case in ("package-key-list", "package-platform-null", "package-name-null"):
-        assert "has a field that is not a string" in err
-    if case == "package-keyword-int":
-        assert "TypeError: sequence item 0: expected str instance, int found" in err
-    if case in ("cve-references-string", "package-keywords-string", "cpe-pairs-object"):
-        assert "that are not a list" in err
-    if case in ("mapping-cve-list", "mapping-package-list", "mapping-platform-null"):
-        assert "has a field that is not a string" in err
-    if case.startswith("versions-platform-"):
-        assert "TypeError: a version count has platform" in err and "not a string" in err
-    if case.startswith("versions-year-"):
-        assert "not a year" in err
-    if case.startswith("versions-count-"):
-        assert "versions, not a count" in err
-    if case == "versions-counts-over-summary":
-        assert "ValueError: 4 versions counted, summary.json has 3" in err
-    if case == "cpe-product-int":
-        assert "TypeError: sequence item 0: expected str instance, int found" in err
-    if case == "cpe-product-list":
-        assert "TypeError: sequence item 0: expected str instance, list found" in err
-    if case in ("cpe-target-int", "mapping-payload-int"):
-        assert "expected str instance, int found" in err
-    if case in ("mapping-confidence-string", "mapping-kind-int", "mapping-payload-string"):
-        assert "has a wrong confidence or evidence type" in err
-    if case == "mapping-strategy-other":
-        assert "has strategy 'repository'" in err
 
 
 def test_corrupt_summary_exits_1(tmp_path, capsys):
@@ -1014,7 +1034,10 @@ BAD_SUMMARIES = {
     "malformed-cpes-list": ({"malformed_cpes": ["x"]}, False, "summary.json"),
     "versions-count-bool": ({"versions": True}, False, "summary.json"),
     "packages-count-negative": ({"packages": -1}, False, "summary.json"),
-    "store-layout-float": ({"store_layout": 3.0}, False, "summary.json"),  # 3.0 == STORE_LAYOUT
+    "store-layout-float": (  # 5.0 == STORE_LAYOUT
+        {"store_layout": float(store.STORE_LAYOUT)}, False, "summary.json"
+    ),
+    "files-entry-string": ({"files": {"cves.ndjson": "x"}}, False, "summary.json"),
 }
 
 
@@ -1041,7 +1064,8 @@ def test_summary_with_a_bad_count_exits_1(tmp_path, capsys, case):
         assert "Traceback" not in err
         assert workspace_bytes(ws) == before
     if named == "summary.json":
-        assert "not a count" in err or "not an object" in err or "not an integer" in err
+        assert any(f"not {what}" in err for what in (
+            "a count", "an object", "an integer", "a crc32 and a size"))
 
 
 # Values of each JSON type, set in place of one field at a time; after Miller,
@@ -1097,6 +1121,33 @@ def test_seeded_type_mutations_exit_0_or_1_and_an_exit_1_writes_nothing(tmp_path
             exits[code] += 1
         shutil.rmtree(ws)
     assert exits[0] and exits[1], exits  # the draw holds rows that read and rows that do not
+
+
+def test_a_flipped_byte_in_a_store_or_mapping_file_is_refused(tmp_path, capsys):
+    """Each seeded byte flip, in any file the checksums cover, stops the commands that read it."""
+    ws = tmp_path / "ws"
+    versions = tmp_path / "versions.csv"
+    versions.write_text(VERSIONS_CSV, encoding="utf-8")
+    assert ingest(capsys, ws, PACKAGES, CVES, "--versions", str(versions))[0] == 0
+    assert run(capsys, "map", "--workspace", str(ws))[0] == 0
+    rng = random.Random(2008)
+    for name in MUTATED_FILES[:-1]:  # summary.json holds the checksums, not data rows
+        path = ws / name
+        data = path.read_bytes()
+        commands = ("map", "report") if name in ("packages.ndjson", "cves.ndjson") else ("report",)
+        for offset in sorted(rng.sample(range(len(data)), 4)):
+            flipped = bytearray(data)
+            flipped[offset] ^= rng.randrange(1, 256)
+            path.write_bytes(flipped)
+            before = workspace_bytes(ws)
+            for command in commands:
+                code, out, err = run(capsys, command, "--workspace", str(ws))
+                case = (name, offset, command, err)
+                assert code == 1 and out == "" and "Traceback" not in err, case
+                assert err.startswith(f"vulnmap: error: corrupt store file {path}: "), case
+                assert workspace_bytes(ws) == before, case
+        path.write_bytes(data)
+    assert run(capsys, "report", "--workspace", str(ws))[0] == 0
 
 
 def test_ingest_memory_does_not_grow_with_rejects(tmp_path, capsys, monkeypatch):

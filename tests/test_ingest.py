@@ -478,9 +478,7 @@ def test_load_versions():
     rejects = []
     records = list(load_versions(io.StringIO(text), rejects=rejects.append,
                                  platform_aliases=ALIASES))
-    assert len(records) == 2
-    assert records[0].published == date(2019, 2, 3)
-    assert records[1].platform == "Ruby"
+    assert records == [("NPM", 2019), ("Ruby", 2019)]
     assert [(r["source"], r["row"], r["reason"]) for r in rejects] == [
         ("versions", 3, "bad_date"), ("versions", 4, "field_count"), ("versions", 5, "bad_date")
     ]

@@ -3,7 +3,6 @@ import io
 import json
 import random
 from collections import Counter
-from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 
 from helpers import random_corpus
 from test_match import mk_cve, mk_pkg
-from vulnmap.ingest import VersionRecord, count_versions, load_cves, load_packages
+from vulnmap.ingest import load_cves, load_packages, load_versions
 from vulnmap.match import default_lookup_config, run_all
 from vulnmap.report import (
     Report,
@@ -210,16 +209,18 @@ def test_package_reports_leave_their_counts_unchanged(build):
 # -- versions per year ---------------------------------------------------------------
 
 
+def _cells(pairs) -> list[tuple]:
+    """The ``(platform, year, count)`` cells of ``(platform, year)`` pairs, as ingest counts."""
+    return [(*cell, count) for cell, count in sorted(Counter(pairs).items())]
+
+
 def test_versions_per_year_cells():
-    versions = [
-        VersionRecord("1", "NPM", "1.0", date(2015, 1, 1)),
-        VersionRecord("1", "NPM", "1.1", date(2015, 6, 1)),
-        VersionRecord("1", "NPM", "2.0", date(2019, 1, 1)),
-        VersionRecord("2", "Pypi", "0.1", date(2019, 3, 1)),
-        VersionRecord("2", "Pypi", "0.2", date(2019, 4, 1)),
-        VersionRecord("3", "NPM", "9.9", date(2019, 5, 1)),
-    ]
-    cells = count_versions(versions)
+    pairs = list(load_versions(io.StringIO(
+        "Platform,Project ID,Number,Published Timestamp\n"
+        "NPM,1,1.0,2015-01-01\nNPM,1,1.1,2015-06-01\nNPM,1,2.0,2019-01-01\n"
+        "Pypi,2,0.1,2019-03-01\nPypi,2,0.2,2019-04-01\nNPM,3,9.9,2019-05-01\n"
+    )))
+    cells = _cells(pairs)
     assert cells == [("NPM", 2015, 2), ("NPM", 2019, 2), ("Pypi", 2019, 2)]
     report = versions_per_year(cells)
     assert {r.keys: r.count for r in report.rows} == {
@@ -229,7 +230,7 @@ def test_versions_per_year_cells():
     }
     assert report.metadata["total_versions"] == 6
     # Cells counted apart, as the parts of a split versions CSV are, add up.
-    assert versions_per_year(count_versions(versions[:3]) + count_versions(versions[3:])) == report
+    assert versions_per_year(_cells(pairs[:3]) + _cells(pairs[3:])) == report
 
 
 def test_versions_per_year_empty():

@@ -9,6 +9,8 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import zlib
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -18,15 +20,15 @@ import vulnmap
 from test_match import mk_cve, mk_pkg
 from vulnmap import units
 from vulnmap.ingest import (
-    _READ_CHARS, CveCpe, CveRecord, PackageRecord, VersionCount, count_versions, load_cves,
-    load_packages, load_versions,
+    _READ_CHARS, CveCpe, CveRecord, PackageRecord, load_cves, load_packages, load_versions,
 )
 from vulnmap.match import Evidence, MappingResult, Strategy, default_lookup_config, run_all
+from vulnmap.records import VersionCount
 from vulnmap.report import (
     cve_per_year, package_counts, versions_per_year, vulnerable_package_count,
 )
 from vulnmap.store import (
-    CorruptStore, Workspace, WorkspaceLocked, _dumps, mapping_to_dict, sha256_file,
+    CorruptStore, Workspace, WorkspaceLocked, _checksum, _dumps, mapping_to_dict, sha256_file,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,11 +85,14 @@ def test_mapping_round_trip_all_strategies(tmp_path):
 
 @pytest.mark.parametrize("size", [0, 1 << 20, 5 << 19])
 def test_sha256_file_equals_sha256_of_the_bytes(tmp_path, size):
-    # Empty, exactly one 1 MiB block, and two and a half blocks.
+    # Empty, a whole number of 64 KiB blocks, and a last block cut short.
     data = random.Random(size).randbytes(size)
     path = tmp_path / "input"
     path.write_bytes(data)
     assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+    # The store's checksum reads the file with the same loop.
+    assert _checksum(path) == {"crc32": zlib.crc32(data), "bytes": size}
+    assert _checksum(tmp_path / "absent") is None
 
 
 def test_workspace_snapshots(tmp_path):
@@ -99,7 +104,10 @@ def test_workspace_snapshots(tmp_path):
     with pytest.raises(CorruptStore, match="summary.json is missing; run 'vulnmap ingest' again"):
         list(ws.load_packages())
     ws.write_summary({"packages": 2, "versions": 0})
-    assert ws.read_summary() == {"packages": 2, "versions": 0}
+    data = ws.packages_path.read_bytes()
+    assert ws.read_summary() == {"packages": 2, "versions": 0, "files": {
+        "packages.ndjson": {"crc32": zlib.crc32(data), "bytes": len(data)},  # no versions.ndjson
+    }}
     assert list(ws.load_packages()) == packages
     assert list(ws.load_versions()) == []  # file absent
 
@@ -305,7 +313,6 @@ def test_report_readers_hold_no_records(tmp_path):
     assert year_peak * 20 < cve_peak, (year_peak, cve_peak)
 
     keys = {"strict": Strategy.STRICT_NAME, "fuzzy": Strategy.PARTIAL_FUZZY}
-    ws.write_manifest(dict.fromkeys(keys, 24_000))
     for key, strategy in keys.items():  # 24 000 rows over 12 (platform, package) pairs
         ws.write_ndjson(ws.mappings_path(key), (
             mapping_to_dict(MappingResult(
@@ -314,6 +321,7 @@ def test_report_readers_hold_no_records(tmp_path):
             ))
             for i in range(24_000)
         ))
+    ws.write_manifest(dict.fromkeys(keys, 24_000))  # the checksums of the files just written
     streamed, report = _traced_peak(
         lambda: vulnerable_package_count({key: ws.load_mappings(key) for key in keys})
     )
@@ -349,7 +357,7 @@ def test_versions_unit_holds_no_version_records(tmp_path):
     listed = sys.getsizeof(records) + sum(sys.getsizeof(v) + sum(map(sys.getsizeof, v))
                                           for v in records)
     assert answer["rows"] == len(records) == 200_000 and answer["rejects"] == 0
-    assert answer["cells"] == count_versions(records)
+    assert {(platform, year): n for platform, year, n in answer["cells"]} == Counter(records)
     assert len(answer["cells"]) == 20  # each platform publishes in five of the ten years
     assert versions_per_year(answer["cells"]).metadata["total_versions"] == 200_000
     assert peak * 20 < listed, (peak, listed)
